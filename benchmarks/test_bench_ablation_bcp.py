@@ -8,16 +8,20 @@ DESIGN.md calls out two implementation decisions:
   disjunctions that remain.
 
 Measured matrix on the 32-axiom reduction workload (an inconsistent
-random ontology), asserted in shape below:
+random ontology), asserted exactly below:
 
 ==============  ==========  =======================
 configuration   branches    outcome
 ==============  ==========  =======================
-absorption+BCP  ~1          unsat in microseconds
-absorption      ~1          unsat in microseconds
-BCP only        ~10         unsat in milliseconds
-neither         > 20,000    budget exhausted
+absorption+BCP  1           unsat in microseconds
+absorption      1           unsat in microseconds
+BCP only        10          unsat in milliseconds
+neither         144         unsat
 ==============  ==========  =======================
+
+Without either optimisation every inclusion becomes a disjunction on
+every node; dependency-directed backjumping still refutes the KB, in
+144 branches instead of 1.
 """
 
 import pytest
@@ -61,31 +65,31 @@ def run_config(use_absorption: bool, use_bcp: bool, budget: int = 20_000):
 def test_full_optimisations(benchmark):
     result, branches = benchmark(run_config, True, True)
     assert result is False
-    assert branches <= 10
+    assert branches == 1
 
 
 def test_absorption_only(benchmark):
     result, branches = benchmark(run_config, True, False)
     assert result is False
-    assert branches <= 10
+    assert branches == 1
 
 
 def test_bcp_only(benchmark):
     result, branches = benchmark(run_config, False, True)
     assert result is False
-    assert branches <= 1000
+    assert branches == 10
 
 
-def test_neither_exhausts_budget(benchmark):
+def test_neither_costs_the_most_branches(benchmark):
     result, branches = benchmark.pedantic(
-        lambda: run_config(False, False, budget=5_000), rounds=1, iterations=1
+        lambda: run_config(False, False), rounds=1, iterations=1
     )
-    assert result is None  # budget exhausted, no answer
-    assert branches > 5_000
+    assert result is False
+    assert branches == 144
 
 
-def test_all_configurations_agree_when_they_terminate():
+def test_all_configurations_agree():
     reference, _branches = run_config(True, True)
-    for use_absorption, use_bcp in ((True, False), (False, True)):
+    for use_absorption, use_bcp in ((True, False), (False, True), (False, False)):
         result, _branches = run_config(use_absorption, use_bcp)
         assert result == reference

@@ -31,11 +31,9 @@ allowed; plain ``subclassof`` reads as internal inclusion).  Commands:
 
 ``check``, ``query``, ``audit``, and ``classify`` accept ``--stats`` to
 print the reasoning-work counters (tableau runs, cache hits, branches,
-trail length, backjumps) after the answer, ``--search
-{trail,copying}`` to pick the tableau search strategy (trail-based
-backjumping by default; ``copying`` is the copy-per-branch reference),
-and ``--no-incremental`` to disable fine-grained invalidation after KB
-mutations (wholesale cache clearing instead).
+trail length, backjumps) after the answer, and ``--engine
+{auto,tableau}`` to choose whether the saturation fast path runs
+before the tableau.
 
 ``check`` and ``query`` additionally accept ``--explain`` — print a
 subset-minimal justification citing the original KB4 axioms, annotated
@@ -121,12 +119,7 @@ def _watch_stats(stats) -> None:
 
 
 def _make_reasoner(args: argparse.Namespace, kb4: KnowledgeBase4) -> Reasoner4:
-    reasoner = Reasoner4(
-        kb4,
-        search=getattr(args, "search", "trail"),
-        engine=getattr(args, "engine", "auto"),
-        incremental=getattr(args, "incremental", True),
-    )
+    reasoner = Reasoner4(kb4, engine=getattr(args, "engine", "auto"))
     _watch_stats(reasoner.stats)
     return reasoner
 
@@ -171,9 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     budget = _budget_from(args)
     reasoner = _make_reasoner(args, kb4)
     four = reasoner.is_satisfiable_verdict(budget=budget)
-    classical_reasoner = Reasoner(
-        collapse_to_classical(kb4), search=getattr(args, "search", "trail")
-    )
+    classical_reasoner = Reasoner(collapse_to_classical(kb4))
     _watch_stats(classical_reasoner.stats)
     classical = classical_reasoner.consistency_verdict(budget=budget)
     print(f"axioms:                  {len(kb4)}")
@@ -203,10 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(explanation.render(heading="--- why four-valued unsatisfiable ---"))
             _print_traces(args, explanation.traces)
         elif not classical_ok:
-            classical = Reasoner(
-                collapse_to_classical(kb4),
-                search=getattr(args, "search", "trail"),
-            )
+            classical = Reasoner(collapse_to_classical(kb4))
             explanation = classical.explain_inconsistency(
                 trace=getattr(args, "trace", False)
             )
@@ -613,18 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     stats_help = "print reasoning-work counters after the answer"
-    search_help = (
-        "tableau search strategy: trail-based with backjumping (default) "
-        "or the copy-per-branch reference implementation"
-    )
     engine_help = (
         "reasoning engine dispatch: auto tries the polynomial saturation "
         "fast path before the tableau (default); tableau disables it"
-    )
-    incremental_help = (
-        "disable fine-grained invalidation after KB mutations (every "
-        "edit then clears the whole query cache and rebuilds all "
-        "derived structures wholesale)"
     )
 
     explain_help = (
@@ -639,23 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_reasoning_flags(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument("--stats", action="store_true", help=stats_help)
         subparser.add_argument(
-            "--search",
-            choices=["trail", "copying"],
-            default="trail",
-            help=search_help,
-        )
-        subparser.add_argument(
             "--engine",
             choices=["auto", "tableau"],
             default="auto",
             help=engine_help,
-        )
-        subparser.add_argument(
-            "--no-incremental",
-            dest="incremental",
-            action="store_false",
-            default=True,
-            help=incremental_help,
         )
 
     def add_explain_flags(subparser: argparse.ArgumentParser) -> None:

@@ -93,11 +93,9 @@ class Reasoner:
         cache: Optional[QueryCache] = None,
         use_cache: bool = True,
         stats: Optional[ReasonerStats] = None,
-        search: str = "trail",
         cache_maxsize: Optional[int] = 4096,
         budget: Optional[Budget] = None,
         engine: str = "auto",
-        incremental: bool = True,
     ):
         """Bind a reasoner to ``kb``.
 
@@ -106,14 +104,11 @@ class Reasoner:
         ``cache`` shares an existing :class:`~repro.dl.cache.QueryCache`
         across reasoners, while ``use_cache=False`` / ``cache_maxsize``
         configure a private one; ``stats`` shares a
-        :class:`~repro.dl.stats.ReasonerStats`; ``search`` picks the
-        tableau strategy (``"trail"`` or ``"copying"``); ``budget``
-        attaches a default :class:`~repro.dl.budget.Budget` governing
-        every service call (per-call ``budget=`` arguments override it);
-        ``engine`` selects dispatch: ``"auto"`` tries the saturation
-        fast path before the tableau, ``"tableau"`` disables it;
-        ``incremental=False`` disables fine-grained invalidation (every
-        KB mutation then falls back to wholesale cache clearing).
+        :class:`~repro.dl.stats.ReasonerStats`; ``budget`` attaches a
+        default :class:`~repro.dl.budget.Budget` governing every service
+        call (per-call ``budget=`` arguments override it); ``engine``
+        selects dispatch: ``"auto"`` tries the saturation fast path
+        before the tableau, ``"tableau"`` disables it.
         """
         if engine not in ("auto", "tableau"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -126,9 +121,6 @@ class Reasoner:
         #: The default resource envelope of every service call (None =
         #: only the tableau's own node/branch caps apply).
         self.budget = budget
-        #: Tableau search mode: ``"trail"`` (backjumping, default) or
-        #: ``"copying"`` (the copy-per-branch reference oracle).
-        self.search = search
         self.stats = stats if stats is not None else ReasonerStats()
         self.cache = (
             cache
@@ -137,10 +129,6 @@ class Reasoner:
         )
         if self.cache.stats is None:
             self.cache.stats = self.stats
-        #: Whether KB mutations are absorbed through fine-grained
-        #: invalidation (dependency-indexed cache survival, incremental
-        #: re-saturation, taxonomy reuse) instead of wholesale clearing.
-        self.incremental = incremental
         self._tableau = self._build_tableau()
         # Built lazily on the first query (saturating a KB nobody
         # queries would be wasted work); dropped on KB mutation.
@@ -162,16 +150,11 @@ class Reasoner:
         self._active_meter: Optional[BudgetMeter] = None
 
     def _build_tableau(self) -> Tableau:
-        # Trail tableaux track provenance so unsat cores can feed both
-        # explanation seeding and fine-grained cache invalidation; the
-        # per-run overhead is O(probes) (see Tableau._prepare_run_tags).
         return Tableau(
             self.kb,
             max_nodes=self.max_nodes,
             max_branches=self.max_branches,
             stats=self.stats,
-            search=self.search,
-            track_provenance=(self.search == "trail"),
         )
 
     def _sync(self) -> None:
@@ -180,19 +163,17 @@ class Reasoner:
         The tableau preprocesses the KB once (absorption, role-hierarchy
         closure), so it is as stale as the cache after an ``add()``.
         When the KB's change log can name the net ``(added, removed)``
-        delta (and ``incremental`` is on), invalidation is fine-grained:
-        only cache entries the delta can affect are dropped
+        delta, invalidation is fine-grained: only cache entries the
+        delta can affect are dropped
         (:meth:`QueryCache.invalidate_delta`), the saturation engine
         re-saturates just the affected cone, and classification
-        dirtiness is tracked per signature vertex.  Otherwise — log
-        window exceeded or ``incremental=False`` — everything derived
-        from the KB is rebuilt wholesale.
+        dirtiness is tracked per signature vertex.  Once the edits fall
+        outside the change log's window, everything derived from the KB
+        is rebuilt wholesale.
         """
         if self._kb_version == self.kb.version:
             return
-        delta = (
-            self.kb.delta_since(self._kb_version) if self.incremental else None
-        )
+        delta = self.kb.delta_since(self._kb_version)
         if delta is None:
             self._tableau = self._build_tableau()
             self._saturation = None
@@ -289,12 +270,10 @@ class Reasoner:
         except BudgetExceeded:
             self.stats.budget_aborts += 1
             raise
-        deps = None
-        if not result and self._tableau.track_provenance:
-            # The unsat core (a superset of at least one justification)
-            # lets fine-grained invalidation keep this verdict across
-            # removals that cannot touch its support.
-            deps = self._tableau.last_unsat_core
+        # The unsat core (a superset of at least one justification) lets
+        # fine-grained invalidation keep a refutation across removals
+        # that cannot touch its support.
+        deps = None if result else self._tableau.last_unsat_core
         self.cache.store(key, result, deps=deps)
         set_gauge("repro_query_cache_entries", len(self.cache))
         return result
@@ -654,33 +633,6 @@ class Reasoner:
             )
         raise UnsupportedAxiomError(axiom, service="explain")
 
-    def _provenance_tableau(self) -> Tableau:
-        """A provenance-tracking trail tableau over the current KB.
-
-        Trail reasoners reuse the main tableau directly (it already
-        tracks provenance for fine-grained invalidation); copying
-        reasoners lazily build a separate trail instance, rebuilt when
-        the KB version moves.
-        """
-        if self._tableau.track_provenance:
-            return self._tableau
-        cached = getattr(self, "_traced_tableau", None)
-        if cached is not None and cached.kb is self.kb and (
-            getattr(self, "_traced_tableau_version", None) == self.kb.version
-        ):
-            return cached
-        tableau = Tableau(
-            self.kb,
-            max_nodes=self.max_nodes,
-            max_branches=self.max_branches,
-            stats=self.stats,
-            search="trail",
-            track_provenance=True,
-        )
-        self._traced_tableau = tableau
-        self._traced_tableau_version = self.kb.version
-        return tableau
-
     def _shrink_check(self, axiom: Axiom):
         """The monotone re-check used by justification shrinking.
 
@@ -696,7 +648,6 @@ class Reasoner:
                 max_nodes=self.max_nodes,
                 max_branches=self.max_branches,
                 use_cache=False,
-                search=self.search,
             )
             try:
                 return sub.entails(axiom)
@@ -719,14 +670,14 @@ class Reasoner:
         the cache bypassed guarantees minimality regardless of the seed.
 
         With ``trace=True`` the probe runs record structured clash
-        traces (trail search; see :class:`repro.explain.model.Trace`).
+        traces (see :class:`repro.explain.model.Trace`).
         """
         from ..explain.justify import minimal_justification
         from ..explain.model import Explanation, Trace
 
         self._sync()
         probe_sets = self._entailment_probes(axiom)
-        tableau = self._provenance_tableau()
+        tableau = self._tableau
         traces = []
         entailed = True
         seed: Set[Axiom] = set()
@@ -773,7 +724,7 @@ class Reasoner:
         from ..explain.model import InconsistencyExplanation, Trace
 
         self._sync()
-        tableau = self._provenance_tableau()
+        tableau = self._tableau
         recorder = Trace() if trace else None
         if tableau.is_satisfiable(trace=recorder):
             return InconsistencyExplanation(
@@ -788,7 +739,6 @@ class Reasoner:
                 max_nodes=self.max_nodes,
                 max_branches=self.max_branches,
                 use_cache=False,
-                search=self.search,
             )
             try:
                 return not sub.is_consistent()

@@ -15,26 +15,17 @@ The TBox is *internalised*: each inclusion ``C [= D`` contributes the
 universal constraint ``nnf(not C or D)`` added to every node.  Termination
 on blockable nodes uses anywhere pairwise (double) blocking, as required in
 the presence of inverse roles.  Nondeterminism (disjunction, at-most
-merging, nominal choice) is explored by depth-first search in one of two
-modes, selected by the ``search`` constructor flag:
-
-* ``search="trail"`` (the default) mutates one completion graph in
-  place, records an undo entry on a *trail* for every effect, and rolls
-  back to the last choice point instead of copying.  Every derived fact
-  carries the set of branch points its derivation used, and on a clash
-  the search *backjumps* straight to the deepest branch point the clash
-  actually depends on, skipping irrelevant pending alternatives
-  (dependency-directed backtracking in the style of FaCT/HermiT).
-  Blocking is maintained incrementally: node signatures are cached and
-  recomputed only when the node, its parent, or the search state
-  changed.
-* ``search="copying"`` is the original copy-per-branch chronological
-  search, kept verbatim as the reference oracle for differential tests
-  (the same pattern as ``classify`` vs ``classify_pairwise``).
-
-Both modes apply the same rules in the same order, so their verdicts
-always agree; the trail mode merely prunes alternatives a clash provably
-cannot depend on.
+merging, nominal choice) is explored by depth-first search over one
+completion graph mutated in place: every effect records an undo entry on a
+*trail*, and the search rolls back to the last choice point by undoing
+entries.  Every derived fact carries the set of branch points its
+derivation used, and on a clash the search *backjumps* straight to the
+deepest branch point the clash actually depends on, skipping irrelevant
+pending alternatives (dependency-directed backtracking in the style of
+FaCT/HermiT).  Blocking is maintained incrementally: node signatures are
+cached and recomputed only when the node, its parent, or the search state
+changed.  KB axioms ride along in the same dependency sets as negative
+*axiom tags*, so every refutation names the axioms its final clash used.
 
 Known limitation (documented in README): the corner where nominals,
 inverse roles and number restrictions interact (the "NIO" case needing the
@@ -50,7 +41,6 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .axioms import ConceptInclusion
 from .concepts import (
     And,
     AtLeast,
@@ -111,23 +101,6 @@ class _Graph:
     )
     next_id: int = 0
     creation_order: Dict[NodeId, int] = field(default_factory=dict)
-
-    def copy(self) -> "_Graph":
-        clone = _Graph(
-            labels={n: set(s) for n, s in self.labels.items()},
-            edges={e: set(s) for e, s in self.edges.items()},
-            parent=dict(self.parent),
-            roots=dict(self.roots),
-            root_nodes=set(self.root_nodes),
-            distinct=set(self.distinct),
-            data_labels={n: set(s) for n, s in self.data_labels.items()},
-            data_edges={e: set(s) for e, s in self.data_edges.items()},
-            data_distinct=set(self.data_distinct),
-            forbidden={e: set(s) for e, s in self.forbidden.items()},
-            next_id=self.next_id,
-            creation_order=dict(self.creation_order),
-        )
-        return clone
 
     # ------------------------------------------------------------------
     # Node management
@@ -226,7 +199,8 @@ class _Graph:
             self.distinct.add(frozenset({left, right}))
 
     # ------------------------------------------------------------------
-    # Merging (the <=-rule and nominal identification)
+    # Merging (SameIndividual axioms, before the search starts; the
+    # search itself merges through the trail engine's logged _merge)
     # ------------------------------------------------------------------
     def merge(self, victim: NodeId, survivor: NodeId) -> bool:
         """Merge ``victim`` into ``survivor``; False signals an immediate clash."""
@@ -279,32 +253,13 @@ class _Graph:
         self.creation_order.pop(victim, None)
         return True
 
-    def merge_data(self, victim: NodeId, survivor: NodeId) -> bool:
-        if victim == survivor:
-            return True
-        if frozenset({victim, survivor}) in self.data_distinct:
-            return False
-        self.data_labels[survivor] |= self.data_labels.pop(victim)
-        for (source, target) in list(self.data_edges):
-            if target == victim:
-                roles = self.data_edges.pop((source, target))
-                self.data_edges.setdefault((source, survivor), set()).update(roles)
-        for pair in list(self.data_distinct):
-            if victim in pair:
-                self.data_distinct.discard(pair)
-                (other,) = pair - {victim}
-                if other == survivor:
-                    return False
-                self.data_distinct.add(frozenset({survivor, other}))
-        return True
-
 
 @dataclass
 class _Choice:
     """One nondeterministic choice point found on a stable graph.
 
     ``alternatives`` are plain-data descriptors (see
-    :meth:`Tableau._apply_descriptor`), one per branch, tried in order:
+    :meth:`_TrailEngine._apply_choice`), one per branch, tried in order:
 
     * ``("add", node, concept)`` — add ``concept`` to the node label;
     * ``("nominal", node, individual)`` — resolve a multi-nominal to one
@@ -313,9 +268,9 @@ class _Choice:
     * ``("data_merge", victim, survivor)`` — identify two data nodes.
 
     ``trigger`` lists the dependency keys of the facts whose presence
-    created this choice (used by trail search to seed the branch point's
-    dependency set); ``None`` means the trigger is not tracked precisely
-    and the choice must be assumed to depend on every open branch point.
+    created this choice (used to seed the branch point's dependency
+    set); ``None`` means the trigger is not tracked precisely and the
+    choice must be assumed to depend on every open branch point.
     An empty ``alternatives`` list is a clash: the triggering disjunction
     has no open operand left.
     """
@@ -332,15 +287,15 @@ class Tableau:
     :meth:`is_satisfiable` call explores a fresh completion graph, with
     optional extra assertions (used for entailment-by-refutation).
 
-    With ``track_provenance=True`` (trail search only) every KB axiom is
-    assigned a negative *axiom tag* threaded through the trail engine's
-    per-fact dependency sets alongside the non-negative branch-point
-    levels.  After an unsatisfiable run, :attr:`last_unsat_core` holds
-    the axioms whose tags reached the final clash — an unsat-core *seed*
-    for justification search (callers re-verify it; see
-    :mod:`repro.explain.justify`).  Axioms acting through preprocessed
-    closures (role inclusions, transitivity, datatype role inclusions)
-    are not tracked individually and are always included in the core.
+    Every KB axiom is assigned a negative *axiom tag* threaded through
+    the trail engine's per-fact dependency sets alongside the
+    non-negative branch-point levels.  After an unsatisfiable run,
+    :attr:`last_unsat_core` holds the axioms whose tags reached the
+    final clash — an unsat-core *seed* for justification search
+    (callers re-verify it; see :mod:`repro.explain.justify`).  Axioms
+    acting through preprocessed closures (role inclusions,
+    transitivity, datatype role inclusions) are not tracked
+    individually and are always included in the core.
     """
 
     def __init__(
@@ -351,31 +306,19 @@ class Tableau:
         use_bcp: bool = True,
         use_absorption: bool = True,
         stats: Optional["ReasonerStats"] = None,
-        search: str = "trail",
-        track_provenance: bool = False,
     ):
         """Compile ``kb`` into a reusable satisfiability engine.
 
         ``use_bcp`` / ``use_absorption`` toggle the two switchable
-        optimisations (ablation studies only); ``search`` picks the
-        trail or copying engine; ``track_provenance=True`` additionally
-        tags every axiom so refutations expose
-        :attr:`last_unsat_core` and clash traces (trail search only).
-        Reasoners enable it on their trail-search tableaux: the cores
-        feed both explanation seeding and the dependency sets behind
-        fine-grained cache invalidation, and the per-run cost is
+        optimisations (ablation studies only).  Every axiom is tagged so
+        refutations expose :attr:`last_unsat_core` and clash traces: the
+        cores feed both explanation seeding and the dependency sets
+        behind fine-grained cache invalidation, and the per-run cost is
         O(probes) since the KB tag table is shared across runs.
         """
-        if search not in ("trail", "copying"):
-            raise ValueError(
-                f"search must be 'trail' or 'copying', got {search!r}"
-            )
         self.kb = kb
         self.max_nodes = max_nodes
         self.max_branches = max_branches
-        #: ``"trail"`` for in-place search with dependency-directed
-        #: backjumping, ``"copying"`` for the copy-per-branch oracle.
-        self.search = search
         #: Optional shared counters (runs, branches) updated by every call.
         self.stats = stats
         #: Boolean constraint propagation on disjunctions (fail-first +
@@ -389,53 +332,45 @@ class Tableau:
         self.hierarchy = kb.role_superroles()
         self.data_hierarchy = self._datatype_hierarchy()
         self.transitive = kb.transitive_roles()
-        #: Provenance bookkeeping (all empty when tracking is off, so the
-        #: default search path carries no extra per-fact work).
-        self.track_provenance = track_provenance
+        #: Provenance bookkeeping: axiom <-> negative tag, and the tags
+        #: each preprocessed TBox constraint carries into the search.
         self._axiom_tags: Dict[int, object] = {}
         self._tag_of: Dict[object, int] = {}
         self.universal_deps: Dict[Concept, FrozenSet[int]] = {}
         self.absorbed_deps: Dict[Tuple, FrozenSet[int]] = {}
         self.last_unsat_core: Optional[FrozenSet] = None
-        if track_provenance:
-            for axiom in kb.axioms():
-                if axiom not in self._tag_of:
-                    tag = -(len(self._tag_of) + 1)
-                    self._tag_of[axiom] = tag
-                    self._axiom_tags[tag] = axiom
-            #: Axioms whose effect flows through preprocessed closures
-            #: (hierarchies, transitivity); never tracked per-fact, always
-            #: part of any reported core.
-            self._background_axioms = frozenset(
-                itertools.chain(
-                    kb.role_inclusions,
-                    kb.datatype_role_inclusions,
-                    kb.transitivity_axioms,
-                )
+        for axiom in kb.axioms():
+            if axiom not in self._tag_of:
+                tag = -(len(self._tag_of) + 1)
+                self._tag_of[axiom] = tag
+                self._axiom_tags[tag] = axiom
+        #: Axioms whose effect flows through preprocessed closures
+        #: (hierarchies, transitivity); never tracked per-fact, always
+        #: part of any reported core.
+        self._background_axioms = frozenset(
+            itertools.chain(
+                kb.role_inclusions,
+                kb.datatype_role_inclusions,
+                kb.transitivity_axioms,
             )
-        else:
-            self._background_axioms = frozenset()
+        )
         self.universal: List[Concept] = []
         self.absorbed: Dict[AtomicConcept, List[Concept]] = {}
         for inclusion in kb.concept_inclusions:
-            tag = self._tag_of.get(inclusion)
+            tags = frozenset({self._tag_of[inclusion]})
             if use_absorption and isinstance(inclusion.sub, AtomicConcept):
                 consequence = nnf(inclusion.sup)
                 self.absorbed.setdefault(inclusion.sub, []).append(consequence)
-                if tag is not None:
-                    akey = (inclusion.sub, consequence)
-                    self.absorbed_deps[akey] = self.absorbed_deps.get(
-                        akey, EMPTY
-                    ) | frozenset({tag})
+                akey = (inclusion.sub, consequence)
+                self.absorbed_deps[akey] = self.absorbed_deps.get(akey, EMPTY) | tags
             else:
                 constraint = nnf(
                     Or.of(negation_nnf(inclusion.sub), inclusion.sup)
                 )
                 self.universal.append(constraint)
-                if tag is not None:
-                    self.universal_deps[constraint] = self.universal_deps.get(
-                        constraint, EMPTY
-                    ) | frozenset({tag})
+                self.universal_deps[constraint] = (
+                    self.universal_deps.get(constraint, EMPTY) | tags
+                )
         self._branches_used = 0
         #: The active budget meter of the current run (None = unbudgeted).
         self._meter: Optional[BudgetMeter] = None
@@ -460,22 +395,20 @@ class Tableau:
         """Whether the KB (plus optional extra ABox axioms) has a model.
 
         ``trace``, when given, is a :class:`repro.explain.model.Trace`
-        that records the run's structured search events (trail search
-        only; the copying oracle records just the verdict).
+        that records the run's structured search events.
 
         ``meter``, when given, is a :class:`~repro.dl.budget.BudgetMeter`
-        ticked at rule-application and choice-point boundaries; an
-        exhausted budget aborts the run with
+        ticked once per expansion pass, per node the pass visits, and per
+        branch; an exhausted budget aborts the run with
         :class:`~repro.dl.errors.BudgetExceeded`.  The same meter may
         span several runs, so cumulative limits (deadline, branches,
         trail) govern a whole service call.
 
         Each run is wrapped in a ``tableau_run`` observability span
-        (search strategy, probe count, verdict, and the stats counters
-        it incremented); with tracing disabled the wrapper is a no-op.
+        (probe count, verdict, and the stats counters it incremented);
+        with tracing disabled the wrapper is a no-op.
         """
         with obs_span("tableau_run", stats=self.stats) as span:
-            span.set("search", self.search)
             result = self._run_satisfiable(extra_assertions, trace, meter, span)
             span.set("satisfiable", result)
             return result
@@ -497,41 +430,30 @@ class Tableau:
             trace.stats = self.stats
         extra = list(extra_assertions)
         span.set("probes", len(extra))
-        record: Optional[List] = None
-        if self.track_provenance:
-            record = []
-            self._prepare_run_tags(extra)
-        graph = self._initial_graph(extra, record=record)
+        record: List = []
+        self._prepare_run_tags(extra)
+        graph = self._initial_graph(extra, record)
         if graph is None:
             # Only SameIndividual/DifferentIndividuals conflicts abort
             # graph construction, so they bound the core seed.
-            if self.track_provenance:
-                self.last_unsat_core = frozenset(
-                    itertools.chain(
-                        self.kb.same_individuals, self.kb.different_individuals
-                    )
+            self.last_unsat_core = frozenset(
+                itertools.chain(
+                    self.kb.same_individuals, self.kb.different_individuals
                 )
+            )
             if trace is not None:
                 trace.emit("verdict", (False,))
             return False
-        if self.track_provenance:
-            self._pending_init_deps = self._seed_provenance(
-                graph, extra, record or []
-            )
+        self._pending_init_deps = self._seed_provenance(graph, extra, record)
         if trace is not None:
             trace.emit(
                 "init", (len(graph.labels), len(self._pending_init_deps))
             )
         self._branches_used = 0
-        if self.search == "copying":
-            result = self._solve(graph)
-            if trace is not None:
-                trace.emit("verdict", (result,))
-            return result
         engine = _TrailEngine(self, graph)
         try:
             result = engine.solve()
-            if self.track_provenance and not result:
+            if not result:
                 self.last_unsat_core = self._resolve_core(engine.final_clash)
             if trace is not None:
                 trace.emit("verdict", (result,))
@@ -770,7 +692,7 @@ class Tableau:
         return closure
 
     def _initial_graph(
-        self, extra_assertions: Iterable, record: Optional[List] = None
+        self, extra_assertions: Iterable, record: List
     ) -> Optional[_Graph]:
         from .axioms import (
             ConceptAssertion,
@@ -821,10 +743,9 @@ class Tableau:
                 ).add(named)
             elif isinstance(axiom, DataAssertion):
                 data_node = graph.new_data_node()
-                if record is not None:
-                    # Provenance seeding needs to know which data node
-                    # each assertion created (see _seed_provenance).
-                    record.append((axiom, data_node))
+                # Provenance seeding needs to know which data node each
+                # assertion created (see _seed_provenance).
+                record.append((axiom, data_node))
                 graph.data_labels[data_node].add(
                     _ExactValue(axiom.value.datatype, axiom.value.lexical)
                 )
@@ -874,187 +795,9 @@ class Tableau:
                 f"tableau exceeded {cap} nodes", DegradationReason.NODES
             )
 
-    def _solve(self, graph: _Graph) -> bool:
-        self._use_branch()
-        while True:
-            if self._meter is not None:
-                self._meter.tick()
-            self._check_nodes(graph)
-            status = self._apply_deterministic(graph)
-            if status == "clash":
-                return False
-            if status == "changed":
-                continue
-            choice = self._find_choice(graph, self._blocked_nodes(graph))
-            if choice is None:
-                return self._final_checks(graph)
-            for descriptor in choice.alternatives:
-                branch = graph.copy()
-                if self._apply_descriptor(branch, descriptor) and self._solve(
-                    branch
-                ):
-                    return True
-            return False
-
     # ------------------------------------------------------------------
-    # Deterministic expansion
+    # Graph queries shared by the trail engine's rules
     # ------------------------------------------------------------------
-    def _apply_deterministic(self, graph: _Graph) -> str:
-        changed = False
-        # Negative role assertions: a forbidden pair that became an actual
-        # neighbour pair (directly, through hierarchy/merging, or through a
-        # chain of a transitive subrole) clashes.
-        for (source, target), roles in graph.forbidden.items():
-            if source not in graph.labels or target not in graph.labels:
-                continue
-            for role in roles:
-                if target in graph.neighbours(source, role, self.hierarchy):
-                    return "clash"
-                for sub_role, supers in self.hierarchy.items():
-                    if role not in supers or not self.kb.is_transitive(sub_role):
-                        continue
-                    if self._chain_reachable(graph, source, target, sub_role):
-                        return "clash"
-        blocked = self._blocked_nodes(graph)
-        for node in graph.nodes():
-            label = graph.labels[node]
-            if self._has_clash(graph, node):
-                return "clash"
-            for concept in list(label):
-                if isinstance(concept, Top):
-                    continue
-                if isinstance(concept, And):
-                    for operand in concept.operands:
-                        if operand not in label:
-                            label.add(operand)
-                            changed = True
-                # Absorbed inclusions: A in label fires its definitions.
-                if isinstance(concept, AtomicConcept):
-                    for consequence in self.absorbed.get(concept, ()):
-                        if consequence not in label:
-                            label.add(consequence)
-                            changed = True
-            # Universal (internalised TBox) constraints.
-            for constraint in self.universal:
-                if constraint not in label:
-                    label.add(constraint)
-                    changed = True
-            if changed:
-                continue
-            # all-rule and all+-rule.
-            for concept in list(label):
-                if isinstance(concept, Forall):
-                    for neighbour in graph.neighbours(
-                        node, concept.role, self.hierarchy
-                    ):
-                        if concept.filler not in graph.labels[neighbour]:
-                            graph.labels[neighbour].add(concept.filler)
-                            changed = True
-                    changed |= self._propagate_transitive(graph, node, concept)
-                elif isinstance(concept, DataForall):
-                    for neighbour in graph.data_neighbours(
-                        node, concept.role, self.data_hierarchy
-                    ):
-                        if concept.range not in graph.data_labels[neighbour]:
-                            graph.data_labels[neighbour].add(concept.range)
-                            changed = True
-            if changed:
-                continue
-            if node in blocked:
-                continue
-            # some-rule.
-            for concept in list(label):
-                if isinstance(concept, Exists):
-                    if not any(
-                        concept.filler in graph.labels[n]
-                        for n in graph.neighbours(node, concept.role, self.hierarchy)
-                    ):
-                        fresh = graph.new_node(node)
-                        graph.add_edge(node, fresh, concept.role)
-                        graph.labels[fresh].add(concept.filler)
-                        changed = True
-                elif isinstance(concept, AtLeast):
-                    neighbours = graph.neighbours(node, concept.role, self.hierarchy)
-                    if not self._has_n_pairwise_distinct(
-                        graph, neighbours, concept.n
-                    ):
-                        fresh_nodes = []
-                        for _ in range(concept.n):
-                            fresh = graph.new_node(node)
-                            graph.add_edge(node, fresh, concept.role)
-                            fresh_nodes.append(fresh)
-                        for left, right in itertools.combinations(fresh_nodes, 2):
-                            graph.set_distinct(left, right)
-                        if concept.n > 0:
-                            changed = True
-                elif isinstance(concept, QualifiedAtLeast):
-                    matching = {
-                        y
-                        for y in graph.neighbours(node, concept.role, self.hierarchy)
-                        if concept.filler in graph.labels[y]
-                    }
-                    if not self._has_n_pairwise_distinct(
-                        graph, matching, concept.n
-                    ):
-                        fresh_nodes = []
-                        for _ in range(concept.n):
-                            fresh = graph.new_node(node)
-                            graph.add_edge(node, fresh, concept.role)
-                            graph.labels[fresh].add(concept.filler)
-                            fresh_nodes.append(fresh)
-                        for left, right in itertools.combinations(fresh_nodes, 2):
-                            graph.set_distinct(left, right)
-                        if concept.n > 0:
-                            changed = True
-                elif isinstance(concept, DataExists):
-                    if not any(
-                        concept.range in graph.data_labels[n]
-                        for n in graph.data_neighbours(
-                            node, concept.role, self.data_hierarchy
-                        )
-                    ):
-                        fresh = graph.new_data_node()
-                        graph.data_edges.setdefault((node, fresh), set()).add(
-                            concept.role
-                        )
-                        graph.data_labels[fresh].add(concept.range)
-                        changed = True
-                elif isinstance(concept, DataAtLeast):
-                    neighbours = graph.data_neighbours(
-                        node, concept.role, self.data_hierarchy
-                    )
-                    distinct_count = self._max_pairwise_distinct_data(
-                        graph, neighbours
-                    )
-                    if distinct_count < concept.n:
-                        fresh_nodes = []
-                        for _ in range(concept.n):
-                            fresh = graph.new_data_node()
-                            graph.data_edges.setdefault((node, fresh), set()).add(
-                                concept.role
-                            )
-                            graph.data_labels[fresh].add(DataTop())
-                            fresh_nodes.append(fresh)
-                        for left, right in itertools.combinations(fresh_nodes, 2):
-                            graph.data_distinct.add(frozenset({left, right}))
-                        if concept.n > 0:
-                            changed = True
-            if changed:
-                continue
-        # Deterministic nominal identification: two alive nodes sharing a
-        # singleton nominal must be the same element.
-        for concept, holders in self._nominal_holders(graph).items():
-            if len(holders) > 1:
-                ordered = sorted(holders, key=lambda n: graph.creation_order[n])
-                survivor = ordered[0]
-                for victim in ordered[1:]:
-                    if not graph.merge(victim, survivor):
-                        return "clash"
-                return "changed"
-        if changed:
-            return "changed"
-        return "stable"
-
     def _chain_reachable(
         self, graph: _Graph, source: NodeId, target: NodeId, role: ObjectRole
     ) -> bool:
@@ -1072,23 +815,6 @@ class Tableau:
                     frontier.append(neighbour)
         return False
 
-    def _propagate_transitive(
-        self, graph: _Graph, node: NodeId, concept: Forall
-    ) -> bool:
-        """The all+-rule: push ``all S.C`` through transitive subroles of S."""
-        changed = False
-        for sub_role, supers in self.hierarchy.items():
-            if concept.role not in supers:
-                continue
-            if not self.kb.is_transitive(sub_role):
-                continue
-            carried = Forall(sub_role, concept.filler)
-            for neighbour in graph.neighbours(node, sub_role, self.hierarchy):
-                if carried not in graph.labels[neighbour]:
-                    graph.labels[neighbour].add(carried)
-                    changed = True
-        return changed
-
     def _nominal_holders(self, graph: _Graph) -> Dict[OneOf, List[NodeId]]:
         holders: Dict[OneOf, List[NodeId]] = {}
         for node in graph.nodes():
@@ -1096,53 +822,6 @@ class Tableau:
                 if isinstance(concept, OneOf) and len(concept.individuals) == 1:
                     holders.setdefault(concept, []).append(node)
         return holders
-
-    # ------------------------------------------------------------------
-    # Clash detection
-    # ------------------------------------------------------------------
-    def _has_clash(self, graph: _Graph, node: NodeId) -> bool:
-        label = graph.labels[node]
-        for concept in label:
-            if isinstance(concept, Bottom):
-                return True
-            if isinstance(concept, Not):
-                if concept.operand in label:
-                    return True
-                if isinstance(concept.operand, OneOf):
-                    for other in concept.operand.individuals:
-                        if graph.roots.get(other) == node:
-                            return True
-            if isinstance(concept, AtMost):
-                # Clash once more than n neighbours remain and none can be
-                # merged (all provably pairwise distinct); until then the
-                # <=-choice rule proposes merges.
-                neighbours = graph.neighbours(node, concept.role, self.hierarchy)
-                if len(neighbours) > concept.n and all(
-                    graph.are_distinct(a, b)
-                    for a, b in itertools.combinations(sorted(neighbours), 2)
-                ):
-                    return True
-            if isinstance(concept, QualifiedAtMost):
-                matching = {
-                    y
-                    for y in graph.neighbours(node, concept.role, self.hierarchy)
-                    if concept.filler in graph.labels[y]
-                }
-                if len(matching) > concept.n and all(
-                    graph.are_distinct(a, b)
-                    for a, b in itertools.combinations(sorted(matching), 2)
-                ):
-                    return True
-            if isinstance(concept, DataAtMost):
-                neighbours = graph.data_neighbours(
-                    node, concept.role, self.data_hierarchy
-                )
-                if len(neighbours) > concept.n and all(
-                    frozenset({a, b}) in graph.data_distinct
-                    for a, b in itertools.combinations(sorted(neighbours), 2)
-                ):
-                    return True
-        return False
 
     @staticmethod
     def _has_n_pairwise_distinct(
@@ -1187,49 +866,6 @@ class Tableau:
                     clique.append(candidate)
             best = max(best, len(clique))
         return best
-
-    # ------------------------------------------------------------------
-    # Blocking
-    # ------------------------------------------------------------------
-    def _blocked_nodes(self, graph: _Graph) -> Set[NodeId]:
-        """Anywhere pairwise-blocked blockable nodes (and their descendants)."""
-        blocked: Set[NodeId] = set()
-        blockable = [
-            n
-            for n in graph.nodes()
-            if not graph.is_root(n) and graph.parent.get(n) is not None
-        ]
-        order = graph.creation_order
-        directly_blocked: Set[NodeId] = set()
-        for node in blockable:
-            parent = graph.parent[node]
-            if parent is None or parent not in graph.labels:
-                continue
-            node_label = frozenset(graph.labels[node])
-            parent_label = frozenset(graph.labels[parent])
-            in_roles = graph.edge_roles_between(parent, node)
-            for witness in blockable:
-                if order[witness] >= order[node] or witness == node:
-                    continue
-                witness_parent = graph.parent[witness]
-                if witness_parent is None or witness_parent not in graph.labels:
-                    continue
-                if (
-                    frozenset(graph.labels[witness]) == node_label
-                    and frozenset(graph.labels[witness_parent]) == parent_label
-                    and graph.edge_roles_between(witness_parent, witness) == in_roles
-                ):
-                    directly_blocked.add(node)
-                    break
-        # Indirect blocking: descendants of blocked nodes.
-        for node in blockable:
-            current = node
-            while current is not None:
-                if current in directly_blocked:
-                    blocked.add(node)
-                    break
-                current = graph.parent.get(current)
-        return blocked
 
     # ------------------------------------------------------------------
     # Nondeterministic choices
@@ -1410,50 +1046,6 @@ class Tableau:
             survivor, victim = victim, survivor
         return ("merge", victim, survivor)
 
-    @staticmethod
-    def _apply_descriptor(branch: _Graph, descriptor: Tuple) -> bool:
-        """Apply one choice alternative to a branch copy (copying search).
-
-        Returns False when the alternative immediately clashes, mirroring
-        the trail engine's :meth:`_TrailEngine._apply_choice`.
-        """
-        kind = descriptor[0]
-        if kind == "add":
-            _, node, concept = descriptor
-            if node not in branch.labels:
-                return False
-            branch.labels[node].add(concept)
-            return True
-        if kind == "nominal":
-            _, node, individual = descriptor
-            if node not in branch.labels:
-                return False
-            # The multi-nominal stays in the label (labels are monotone;
-            # removing it would make the or-rule refire forever).
-            branch.labels[node].add(OneOf(frozenset({individual})))
-            existing = branch.roots.get(individual)
-            if existing is not None:
-                if existing == node:
-                    return True
-                return branch.merge(node, existing)
-            branch.roots[individual] = node
-            branch.root_nodes.add(node)
-            return True
-        if kind == "merge":
-            _, victim, survivor = descriptor
-            if victim not in branch.labels or survivor not in branch.labels:
-                return False
-            return branch.merge(victim, survivor)
-        if kind == "data_merge":
-            _, victim, survivor = descriptor
-            if (
-                victim not in branch.data_labels
-                or survivor not in branch.data_labels
-            ):
-                return False
-            return branch.merge_data(victim, survivor)
-        raise AssertionError(f"unknown choice descriptor {descriptor!r}")
-
     # ------------------------------------------------------------------
     # Final (datatype) checks
     # ------------------------------------------------------------------
@@ -1540,15 +1132,12 @@ class _TrailEngine:
         self.trail_total = 0
         self.deps: Dict[Tuple, FrozenSet[int]] = {}
         # Axiom provenance: negative tags live in the same dependency
-        # sets as branch-point levels; the initial facts are pre-seeded
-        # (never undone — the trail never rolls below mark 0).  Probe
-        # tags are excluded from _tags (they never reach unsat cores);
-        # _filter_tags alone decides whether dependency sets may carry
-        # negative members that backjump arithmetic must skip.
+        # sets as branch-point levels, and backjump arithmetic skips
+        # them; the initial facts are pre-seeded (never undone — the
+        # trail never rolls below mark 0).  Probe tags are excluded from
+        # _tags (they never reach unsat cores).
         self._tags: FrozenSet[int] = tableau._run_tags
-        self._filter_tags: bool = tableau.track_provenance
-        if tableau.track_provenance:
-            self.deps.update(tableau._pending_init_deps)
+        self.deps.update(tableau._pending_init_deps)
         #: Dependency set of the clash that exhausted the search (only
         #: meaningful after solve() returned False).
         self.final_clash: FrozenSet[int] = EMPTY
@@ -1647,11 +1236,10 @@ class _TrailEngine:
 
         Returns True when an alternative was applied at the deepest branch
         point in ``clash`` (search continues), False when the whole search
-        space is exhausted (unsatisfiable).  With provenance tracking,
-        negative axiom tags ride along in ``clash``; only the
-        non-negative branch-point levels steer the jump, and the tag part
-        of the final clash survives in :attr:`final_clash` as the
-        unsat-core seed.
+        space is exhausted (unsatisfiable).  Negative axiom tags ride
+        along in ``clash``; only the non-negative branch-point levels
+        steer the jump, and the tag part of the final clash survives in
+        :attr:`final_clash` as the unsat-core seed.
         """
         stats = self.t.stats
         while True:
@@ -1691,8 +1279,6 @@ class _TrailEngine:
 
     def _levels(self, deps: FrozenSet[int]) -> FrozenSet[int]:
         """The branch-point part of a dependency set (axiom tags dropped)."""
-        if not self._filter_tags:
-            return deps
         return frozenset(level for level in deps if level >= 0)
 
     def _all_levels(self) -> FrozenSet[int]:
@@ -1979,7 +1565,7 @@ class _TrailEngine:
             self._set_deps(("DNEQ", pair), deps)
 
     # ------------------------------------------------------------------
-    # Logged merging (mirrors _Graph.merge / merge_data)
+    # Logged merging
     # ------------------------------------------------------------------
     def _merge(
         self, victim: NodeId, survivor: NodeId, rdeps: FrozenSet[int]
@@ -2143,16 +1729,23 @@ class _TrailEngine:
         return None
 
     # ------------------------------------------------------------------
-    # Deterministic expansion (mirrors Tableau._apply_deterministic)
+    # Deterministic expansion
     # ------------------------------------------------------------------
     def _expand_once(self):
         """One deterministic expansion pass.
 
-        Returns ``"changed"``, ``"stable"``, or ``("clash", deps)``; the
-        rule order mirrors :meth:`Tableau._apply_deterministic` exactly so
-        both search modes explore comparable branches.
+        Returns ``"changed"``, ``"stable"``, or ``("clash", deps)``.
+        Rules fire node by node in a fixed order: clash check, the
+        and-rule with absorbed inclusions and the universal constraints,
+        then the all-/all+-rules, then (on unblocked nodes) the
+        generating rules; a node that changed ends its turn early.
+        Nominal identification runs after the node sweep.
+
+        The budget meter ticks once per node visited: a single pass over
+        a large ABox can take longer than a whole deadline.
         """
         t, g = self.t, self.g
+        meter = t._meter
         changed = False
         for (source, target), roles in g.forbidden.items():
             if source not in g.labels or target not in g.labels:
@@ -2176,6 +1769,8 @@ class _TrailEngine:
         blocked = self._blocked_nodes()
         self._last_blocked = blocked
         for node in g.nodes():
+            if meter is not None:
+                meter.tick()
             label = g.labels[node]
             clash = self._clash_deps(node)
             if clash is not None:
@@ -2194,23 +1789,14 @@ class _TrailEngine:
                     if consequences:
                         cdeps = self._dep(("L", node, concept))
                         for consequence in consequences:
-                            adeps = cdeps
-                            if t.absorbed_deps:
-                                adeps = cdeps | t.absorbed_deps.get(
-                                    (concept, consequence), EMPTY
-                                )
+                            adeps = cdeps | t.absorbed_deps[(concept, consequence)]
                             if self._add_label(node, consequence, adeps):
                                 changed = True
-            # Universal (internalised TBox) constraints; with provenance
-            # each carries the tags of the inclusions it internalises.
+            # Universal (internalised TBox) constraints, each carrying the
+            # tags of the inclusions it internalises.
             universal_deps = t.universal_deps
             for constraint in t.universal:
-                udeps = (
-                    universal_deps.get(constraint, EMPTY)
-                    if universal_deps
-                    else EMPTY
-                )
-                if self._add_label(node, constraint, udeps):
+                if self._add_label(node, constraint, universal_deps[constraint]):
                     changed = True
             if changed:
                 continue
@@ -2375,7 +1961,7 @@ class _TrailEngine:
         return changed
 
     # ------------------------------------------------------------------
-    # Clash dependency extraction (mirrors Tableau._has_clash)
+    # Clash detection with dependency extraction
     # ------------------------------------------------------------------
     def _clash_deps(self, node: NodeId) -> Optional[FrozenSet[int]]:
         """The clash's dependency set, or None when the node is clash-free."""
@@ -2473,12 +2059,13 @@ class _TrailEngine:
     def _blocked_nodes(self) -> Set[NodeId]:
         """Anywhere pairwise-blocked nodes, via cached blocking signatures.
 
-        Equivalent to :meth:`Tableau._blocked_nodes` — a node is directly
-        blocked iff an earlier (by creation order) blockable node has the
-        same (label, parent label, connecting roles) signature — but nodes
-        are hash-grouped by signature instead of compared pairwise, and a
-        signature is recomputed only when the node or its parent changed
-        since it was cached (``blocking_checks`` counts recomputations).
+        A node is directly blocked iff an earlier (by creation order)
+        blockable node has the same (label, parent label, connecting
+        roles) signature; descendants of a directly blocked node are
+        indirectly blocked.  Nodes are hash-grouped by signature instead
+        of compared pairwise, and a signature is recomputed only when
+        the node or its parent changed since it was cached
+        (``blocking_checks`` counts recomputations).
         """
         g = self.g
         order = g.creation_order

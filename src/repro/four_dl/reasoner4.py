@@ -32,7 +32,7 @@ from ..dl.individuals import Individual
 from ..dl.kb import KnowledgeBase
 from ..dl.reasoner import PartialClassification, Reasoner
 from ..dl.stats import ReasonerStats
-from ..dl.tableau import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_NODES
+from ..dl.tableau import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_NODES, Tableau
 from ..fourvalued.truth import FourValue, from_evidence
 from ..obs.spans import add_event, span as obs_span
 from .axioms4 import (
@@ -105,11 +105,9 @@ class Reasoner4:
         cache: Optional[QueryCache] = None,
         use_cache: bool = True,
         stats: Optional[ReasonerStats] = None,
-        search: str = "trail",
         cache_maxsize: Optional[int] = 4096,
         budget: Optional[Budget] = None,
         engine: str = "auto",
-        incremental: bool = True,
     ):
         """Bind a four-valued reasoner to ``kb4``.
 
@@ -117,22 +115,17 @@ class Reasoner4:
         are forwarded to the classical reasoner over the induced KB:
         search-space budgets, a shareable query cache (or
         ``use_cache=False`` / ``cache_maxsize`` for a private one),
-        shared statistics, the tableau ``search`` strategy, a default
-        :class:`~repro.dl.budget.Budget` governing every service call,
-        the ``engine`` dispatch policy (the doubled-signature
-        reduction preserves the tractable fragment, so the saturation
-        fast path applies to induced KBs too), and ``incremental``
-        (fine-grained invalidation after KB4 mutations; ``False``
-        restores wholesale re-transform plus cache clearing).
+        shared statistics, a default :class:`~repro.dl.budget.Budget`
+        governing every service call, and the ``engine`` dispatch
+        policy (the doubled-signature reduction preserves the tractable
+        fragment, so the saturation fast path applies to induced KBs
+        too).
         """
         self.kb4 = kb4
         self.max_nodes = max_nodes
         self.max_branches = max_branches
         #: Default resource envelope, forwarded to the classical reasoner.
         self.budget = budget
-        #: Tableau search mode, forwarded to the classical reasoner:
-        #: ``"trail"`` (backjumping, default) or ``"copying"`` (oracle).
-        self.search = search
         #: Engine dispatch policy, forwarded to the classical reasoner:
         #: ``"auto"`` (saturation fast path first) or ``"tableau"``.
         self.engine = engine
@@ -143,10 +136,6 @@ class Reasoner4:
             if cache is not None
             else QueryCache(enabled=use_cache, maxsize=cache_maxsize)
         )
-        #: Whether KB4 mutations flow through fine-grained invalidation
-        #: (incremental re-transform + dependency-indexed cache survival)
-        #: instead of wholesale rebuilds.
-        self.incremental = incremental
         self._kb4_version = kb4.version
         self._rebuild()
 
@@ -160,10 +149,8 @@ class Reasoner4:
             max_branches=self.max_branches,
             cache=self.cache,
             stats=self.stats,
-            search=self.search,
             budget=self.budget,
             engine=self.engine,
-            incremental=self.incremental,
         )
 
     def _sync(self) -> None:
@@ -175,13 +162,12 @@ class Reasoner4:
         classical reasoner — whose own fine-grained ``_sync`` watches
         that object's change log — invalidates only what the edit can
         affect.  When the transform memo could not be updated in place
-        (log window exceeded, or ``incremental=False``) the induced KB
-        is a fresh object and everything is rebuilt wholesale, exactly
-        as before.
+        (log window exceeded) the induced KB is a fresh object and
+        everything is rebuilt wholesale.
         """
         if self._kb4_version == self.kb4.version:
             return
-        if self.incremental and cached_transform_kb(self.kb4) is self.classical_kb:
+        if cached_transform_kb(self.kb4) is self.classical_kb:
             # Same induced-KB object, mutated in place: the classical
             # reasoner's next query fine-syncs against its change log.
             self._kb4_version = self.kb4.version
@@ -642,6 +628,16 @@ class Reasoner4:
             )
         raise UnsupportedAxiomError(axiom, service="4-valued explain")
 
+    def _classical_tableau(self) -> Tableau:
+        """The classical reasoner's tableau, synced to the induced KB.
+
+        An in-place KB4 edit reaches the induced KB's change log but not
+        the classical reasoner until its next query, so the explanation
+        paths (which drive the tableau directly) sync it first.
+        """
+        self.classical_reasoner._sync()
+        return self.classical_reasoner._tableau
+
     def _shrink_check(self, axiom: object):
         """The sub-KB4 entailment re-check used by justification shrinking.
 
@@ -657,7 +653,6 @@ class Reasoner4:
                 max_nodes=self.max_nodes,
                 max_branches=self.max_branches,
                 use_cache=False,
-                search=self.search,
                 engine=self.engine,
             )
             try:
@@ -688,7 +683,7 @@ class Reasoner4:
 
         self._sync()
         probe_sets = self._entailment_probe_sets(axiom)
-        tableau = self.classical_reasoner._provenance_tableau()
+        tableau = self._classical_tableau()
         provenance = cached_transform_provenance(self.kb4)
         traces = []
         entailed = True
@@ -743,7 +738,7 @@ class Reasoner4:
         from .transform import cached_transform_provenance
 
         self._sync()
-        tableau = self.classical_reasoner._provenance_tableau()
+        tableau = self._classical_tableau()
         recorder = Trace() if trace else None
         if tableau.is_satisfiable(trace=recorder):
             return InconsistencyExplanation(
@@ -767,7 +762,6 @@ class Reasoner4:
                 max_nodes=self.max_nodes,
                 max_branches=self.max_branches,
                 use_cache=False,
-                search=self.search,
                 engine=self.engine,
             )
             try:

@@ -181,10 +181,9 @@ def run_probe(
 
 @dataclass
 class ChaosCaseResult:
-    """The outcome of one seeded (KB, fault, search-mode) chaos case."""
+    """The outcome of one seeded (KB, fault) chaos case."""
 
     seed: int
-    search: str
     fault: str
     decided: int = 0
     unknowns: int = 0
@@ -230,15 +229,13 @@ class ChaosReport:
             f"{len(self.failures())} failing"
         ]
         for case in self.failures():
-            head = f"  seed={case.seed} search={case.search} fault={case.fault}:"
+            head = f"  seed={case.seed} fault={case.fault}:"
             lines.append(head)
             lines.extend(f"    {message}" for message in case.mismatches)
         return "\n".join(lines)
 
 
-def run_chaos_case(
-    seed: int, search: str = "trail", fault: Optional[str] = None
-) -> ChaosCaseResult:
+def run_chaos_case(seed: int, fault: Optional[str] = None) -> ChaosCaseResult:
     """One chaos case: inject a fault, then verify both invariants.
 
     Builds the seeded KB, runs the probe battery with a freshly rigged
@@ -251,10 +248,10 @@ def run_chaos_case(
     chosen = fault if fault is not None else rng.choice(FAULT_KINDS)
     kb = generate_kb(GeneratorConfig(seed=seed, **CHAOS_KB))
     plan = probe_plan(kb)
-    result = ChaosCaseResult(seed=seed, search=search, fault=chosen)
+    result = ChaosCaseResult(seed=seed, fault=chosen)
 
-    victim = Reasoner(kb, search=search)
-    cold = Reasoner(kb, search=search)
+    victim = Reasoner(kb)
+    cold = Reasoner(kb)
     chaos_verdicts: List[Verdict] = []
     for kind, args in plan:
         verdict = run_probe(victim, kind, args, fault_budget(chosen, rng))
@@ -294,11 +291,9 @@ def run_chaos_case(
 
 
 def run_chaos_suite(
-    seeds: Iterable[int],
-    searches: Sequence[str] = ("trail", "copying"),
-    faults: Sequence[str] = FAULT_KINDS,
+    seeds: Iterable[int], faults: Sequence[str] = FAULT_KINDS
 ) -> ChaosReport:
-    """The full matrix: every seed x search mode, each with a seeded fault.
+    """One case per seed, each with a seeded fault.
 
     Every fault kind in ``faults`` is guaranteed coverage: case ``i``
     pins fault ``faults[i % len(faults)]`` so a short seed range still
@@ -307,8 +302,5 @@ def run_chaos_suite(
     report = ChaosReport()
     for index, seed in enumerate(seeds):
         fault = faults[index % len(faults)]
-        for search in searches:
-            report.cases.append(
-                run_chaos_case(seed, search=search, fault=fault)
-            )
+        report.cases.append(run_chaos_case(seed, fault=fault))
     return report

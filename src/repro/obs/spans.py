@@ -7,7 +7,7 @@ while answering a query becomes a child of the query span, and the
 finished trees expose exactly where the wall-clock time of a service
 call went.  Each span can carry
 
-* **attributes** — small key/value annotations (search strategy, cache
+* **attributes** — small key/value annotations (probe count, cache
   hit, verdict);
 * **events** — point-in-time marks (budget aborts, UNKNOWN degradations,
   cache evictions), stamped with their offset from the span start;
@@ -329,7 +329,7 @@ def span(name: str, stats=None):
     the clock or allocating.
 
     >>> with span("tableau_run") as sp:
-    ...     sp.set("search", "trail")   # no-op: tracing disabled
+    ...     sp.set("probes", 1)   # no-op: tracing disabled
     """
     tracer = _ACTIVE.tracer
     if tracer is None:

@@ -337,12 +337,21 @@ class TestReasonerIncremental:
         assert len(reasoner.cache) >= entries
         assert reasoner.stats.fine_invalidations == 0
 
-    def test_incremental_false_clears_wholesale(self):
+    def test_edits_beyond_the_log_window_clear_wholesale(self):
         kb = KnowledgeBase.of([ConceptInclusion(A, B)])
-        reasoner = Reasoner(kb, incremental=False)
+        reasoner = Reasoner(kb)
         assert reasoner.subsumes(B, A)
+        synced = kb.version
+        # The log keeps between LOG_LIMIT and 2 * LOG_LIMIT records, so
+        # this many edits push the reasoner's version below its window.
+        for _ in range(LOG_LIMIT + 1):
+            kb.add_axiom(ConceptAssertion(y, C))
+            kb.remove_axiom(ConceptAssertion(y, C))
         kb.add_axiom(ConceptAssertion(y, C))
+        assert kb.delta_since(synced) is None
+        misses = reasoner.stats.cache_misses
         assert reasoner.subsumes(B, A)
+        assert reasoner.stats.cache_misses == misses + 1
         assert reasoner.stats.cache_entries_survived == 0
         assert reasoner.stats.fine_invalidations == 0
 

@@ -1,11 +1,12 @@
-"""Trail-based search vs the copy-per-branch oracle.
+"""Trail-based search: verdicts, backjumping and its counters.
 
-The trail engine must agree with the copying search on every verdict
-while never exploring more branches; on clashes independent of recent
-choices it must *backjump*, skipping choice points chronological
-backtracking would re-explore.  The crafted KB below is built so that
-BCP cannot screen the padding disjuncts (they are conjunctions, not
-literals), forcing genuine choice points in both modes.
+On clashes independent of recent choices the engine must *backjump*,
+skipping choice points chronological backtracking would re-explore.
+The crafted KB below is built so that BCP cannot screen the padding
+disjuncts (they are conjunctions, not literals), forcing genuine choice
+points.  Verdicts on random KBs are checked against independent oracles
+(verified models and finite-model enumeration) in
+``tests/integration/test_differential_fuzz.py``.
 """
 
 import pytest
@@ -26,6 +27,7 @@ from repro.dl import (
     Tableau,
 )
 from repro.dl.errors import ReasonerLimitExceeded
+from repro.four_dl import KnowledgeBase4, Reasoner4
 
 A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
 r = AtomicRole("r")
@@ -70,26 +72,33 @@ def deep_disjunction_kb(padding):
     return kb
 
 
-class TestSearchModeFlag:
-    def test_invalid_mode_is_rejected(self):
-        with pytest.raises(ValueError):
-            Tableau(KnowledgeBase(), search="chronological")
+class TestOneConfiguration:
+    @pytest.mark.parametrize("switch", ["search", "track_provenance"])
+    def test_tableau_has_no_engine_switches(self, switch):
+        with pytest.raises(TypeError):
+            Tableau(KnowledgeBase(), **{switch: True})
 
-    def test_reasoner_forwards_the_mode(self):
-        kb = KnowledgeBase()
-        kb.add(ConceptAssertion(a, A))
-        assert Reasoner(kb, search="copying")._tableau.search == "copying"
-        assert Reasoner(kb)._tableau.search == "trail"
+    @pytest.mark.parametrize("switch", ["search", "incremental"])
+    def test_reasoners_have_no_engine_switches(self, switch):
+        with pytest.raises(TypeError):
+            Reasoner(KnowledgeBase(), **{switch: True})
+        with pytest.raises(TypeError):
+            Reasoner4(KnowledgeBase4(), **{switch: True})
+
+    def test_every_tableau_tracks_provenance(self):
+        kb = deep_disjunction_kb(0)
+        tableau = Tableau(kb)
+        assert not tableau.is_satisfiable()
+        assert tableau.last_unsat_core
 
 
-class TestVerdictParity:
-    def test_crafted_kb_verdicts_agree(self):
+class TestVerdicts:
+    def test_crafted_kb_is_inconsistent(self):
         for padding in (0, 2, 4):
             kb = deep_disjunction_kb(padding)
-            assert not Reasoner(kb, search="trail", use_cache=False).is_consistent()
-            assert not Reasoner(kb, search="copying", use_cache=False).is_consistent()
+            assert not Reasoner(kb, use_cache=False).is_consistent()
 
-    def test_satisfiable_kb_verdicts_agree(self):
+    def test_satisfiable_kb_is_consistent(self):
         kb = KnowledgeBase()
         kb.add(
             ConceptAssertion(a, Or.of(And.of(A, B), And.of(B, C))),
@@ -97,8 +106,7 @@ class TestVerdictParity:
             RoleAssertion(r, a, b),
             ConceptInclusion(A, Not(C)),
         )
-        assert Reasoner(kb, search="trail", use_cache=False).is_consistent()
-        assert Reasoner(kb, search="copying", use_cache=False).is_consistent()
+        assert Reasoner(kb, use_cache=False).is_consistent()
 
     def test_repeated_queries_on_one_tableau_are_stable(self):
         # the trail must fully restore the shared graph between queries
@@ -119,56 +127,38 @@ class TestVerdictParity:
 
 
 class TestBackjumping:
-    def test_trail_backjumps_and_explores_strictly_fewer_branches(self):
+    def test_trail_backjumps_over_the_padding(self):
         kb = deep_disjunction_kb(4)
-        trail = Reasoner(kb, search="trail", use_cache=False)
-        copying = Reasoner(kb, search="copying", use_cache=False)
+        trail = Reasoner(kb, use_cache=False)
         assert not trail.is_consistent()
-        assert not copying.is_consistent()
         assert trail.stats.backjumps > 0
         assert trail.stats.branch_points_skipped >= 4
-        assert (
-            trail.stats.branches_explored < copying.stats.branches_explored
-        )
 
-    def test_savings_grow_with_padding_depth(self):
-        # chronological search pays 2^N; the backjumping trail pays N
-        trail_counts, copying_counts = [], []
+    def test_branches_grow_linearly_with_padding_depth(self):
+        # chronological backtracking pays 2^(N+2) - 1; backjumping pays N + 3
+        counts = []
         for padding in (2, 4, 6):
-            trail = Reasoner(
-                deep_disjunction_kb(padding), search="trail", use_cache=False
-            )
-            copying = Reasoner(
-                deep_disjunction_kb(padding), search="copying", use_cache=False
-            )
+            trail = Reasoner(deep_disjunction_kb(padding), use_cache=False)
             assert not trail.is_consistent()
-            assert not copying.is_consistent()
-            trail_counts.append(trail.stats.branches_explored)
-            copying_counts.append(copying.stats.branches_explored)
-        assert trail_counts == [padding + 3 for padding in (2, 4, 6)]
-        assert copying_counts == [2 ** (padding + 2) - 1 for padding in (2, 4, 6)]
-
-    def test_trail_counters_stay_zero_in_copying_mode(self):
-        kb = deep_disjunction_kb(3)
-        copying = Reasoner(kb, search="copying", use_cache=False)
-        assert not copying.is_consistent()
-        assert copying.stats.backjumps == 0
-        assert copying.stats.branch_points_skipped == 0
-        assert copying.stats.trail_length == 0
+            counts.append(trail.stats.branches_explored)
+        assert counts == [padding + 3 for padding in (2, 4, 6)]
 
     def test_trail_records_its_length(self):
         kb = deep_disjunction_kb(3)
-        trail = Reasoner(kb, search="trail", use_cache=False)
+        trail = Reasoner(kb, use_cache=False)
         assert not trail.is_consistent()
         assert trail.stats.trail_length > 0
 
 
 class TestBranchBudget:
-    def test_both_modes_respect_max_branches(self):
+    def test_backjumping_fits_a_cap_chronological_search_would_blow(self):
+        # 2^(8+2) - 1 = 1023 chronological branches; the trail needs 11
         kb = deep_disjunction_kb(8)
-        with pytest.raises(ReasonerLimitExceeded):
-            Reasoner(kb, search="copying", use_cache=False, max_branches=64).is_consistent()
-        # the trail needs only padding + 3 branches
-        trail = Reasoner(kb, search="trail", use_cache=False, max_branches=64)
+        trail = Reasoner(kb, use_cache=False, max_branches=64)
         assert not trail.is_consistent()
         assert trail.stats.branches_explored <= 11
+
+    def test_max_branches_aborts_the_search(self):
+        kb = deep_disjunction_kb(8)
+        with pytest.raises(ReasonerLimitExceeded):
+            Reasoner(kb, use_cache=False, max_branches=4).is_consistent()

@@ -183,6 +183,22 @@ def test_explain_unsatisfiability():
     assert is_minimal(result.justification, still_unsat)
 
 
+def test_explanations_see_edits_made_after_the_first_query():
+    kb4 = KnowledgeBase4().add(ConceptAssertion(tweety, penguin))
+    reasoner = Reasoner4(kb4)
+    query = ConceptAssertion(tweety, bird)
+    assert not reasoner.entails(query)
+    kb4.add(internal(penguin, bird))
+    explanation = reasoner.explain(query)
+    assert explanation.entailed
+    assert set(explanation.justifications[0]) == {
+        internal(penguin, bird),
+        ConceptAssertion(tweety, penguin),
+    }
+    kb4.add(internal(bird, BOTTOM))
+    assert not reasoner.explain_unsatisfiability().consistent
+
+
 def test_explain_unsatisfiability_on_satisfiable_kb4():
     result = Reasoner4(example3_kb4()).explain_unsatisfiability()
     assert result.consistent

@@ -28,7 +28,7 @@ def contradictory_kb():
 
 def test_trace_records_init_derive_clash_verdict():
     trace = Trace()
-    tableau = Tableau(contradictory_kb(), search="trail", track_provenance=True)
+    tableau = Tableau(contradictory_kb())
     assert not tableau.is_satisfiable(trace=trace)
     counts = trace.counts()
     assert counts["init"] == 1
@@ -40,7 +40,7 @@ def test_trace_records_init_derive_clash_verdict():
 
 def test_clash_events_carry_source_axioms():
     trace = Trace()
-    tableau = Tableau(contradictory_kb(), search="trail", track_provenance=True)
+    tableau = Tableau(contradictory_kb())
     tableau.is_satisfiable(trace=trace)
     reason, axioms = trace.clashes[-1].payload
     assert isinstance(reason, str)
@@ -57,7 +57,7 @@ def test_branch_points_recorded_on_disjunctions():
         ]
     )
     trace = Trace()
-    tableau = Tableau(kb, search="trail", track_provenance=True)
+    tableau = Tableau(kb)
     assert not tableau.is_satisfiable(trace=trace)
     assert trace.branch_points
     assert trace.verdict is False
@@ -66,9 +66,7 @@ def test_branch_points_recorded_on_disjunctions():
 def test_trace_is_deterministic_across_runs():
     def run():
         trace = Trace()
-        Tableau(
-            contradictory_kb(), search="trail", track_provenance=True
-        ).is_satisfiable(trace=trace)
+        Tableau(contradictory_kb()).is_satisfiable(trace=trace)
         return [(e.kind, e.depth) for e in trace.events]
 
     assert run() == run()
@@ -76,9 +74,7 @@ def test_trace_is_deterministic_across_runs():
 
 def test_truncation_caps_event_count():
     trace = Trace(max_events=2)
-    Tableau(
-        contradictory_kb(), search="trail", track_provenance=True
-    ).is_satisfiable(trace=trace)
+    Tableau(contradictory_kb()).is_satisfiable(trace=trace)
     assert len(trace) == 2
     assert trace.truncated
 
@@ -86,16 +82,14 @@ def test_truncation_caps_event_count():
 def test_satisfiable_run_records_verdict_true():
     kb = KnowledgeBase.of([ConceptAssertion(a, A)])
     trace = Trace()
-    tableau = Tableau(kb, search="trail", track_provenance=True)
+    tableau = Tableau(kb)
     assert tableau.is_satisfiable(trace=trace)
     assert trace.verdict is True
 
 
 def test_render_trace_and_summary_are_strings():
     trace = Trace()
-    Tableau(
-        contradictory_kb(), search="trail", track_provenance=True
-    ).is_satisfiable(trace=trace)
+    Tableau(contradictory_kb()).is_satisfiable(trace=trace)
     full = render_trace(trace)
     assert "verdict: unsatisfiable" in full
     capped = render_trace(trace, max_lines=1)
@@ -106,7 +100,8 @@ def test_render_trace_and_summary_are_strings():
 
 
 def test_untraced_runs_unaffected():
-    tableau = Tableau(contradictory_kb(), search="trail", track_provenance=True)
+    tableau = Tableau(contradictory_kb())
     assert not tableau.is_satisfiable()
-    plain = Tableau(contradictory_kb(), search="trail")
-    assert not plain.is_satisfiable()
+    core = tableau.last_unsat_core
+    assert not tableau.is_satisfiable(trace=Trace())
+    assert tableau.last_unsat_core == core

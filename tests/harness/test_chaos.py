@@ -1,9 +1,9 @@
 """Fault-injection suite: the chaos harness and its two invariants.
 
-The heavyweight guarantee lives in the suite classes: across 60+ seeded
-(KB, fault, search-mode) cases — every fault kind, both the trail and
-the copying engine — an aborted search never poisons the cache and the
-reasoner stays reusable, answering exactly like a cold one.
+The heavyweight guarantee lives in the suite classes: across 60 seeded
+(KB, fault) cases — every fault kind — an aborted search never poisons
+the cache and the reasoner stays reusable, answering exactly like a
+cold one.
 """
 
 import random
@@ -106,16 +106,16 @@ class TestInjectedFaultsActuallyFire:
 
 class TestSingleCase:
     def test_case_reports_its_parameters(self):
-        result = run_chaos_case(0, search="trail", fault="nodes")
-        assert (result.seed, result.search, result.fault) == (0, "trail", "nodes")
+        result = run_chaos_case(0, fault="nodes")
+        assert (result.seed, result.fault) == (0, "nodes")
         assert result.ok, result.mismatches
         assert result.decided + result.unknowns == len(
             probe_plan(generate_kb(GeneratorConfig(seed=0, **CHAOS_KB)))
         )
 
     def test_same_seed_same_outcome(self):
-        first = run_chaos_case(7, search="trail", fault="branches")
-        second = run_chaos_case(7, search="trail", fault="branches")
+        first = run_chaos_case(7, fault="branches")
+        second = run_chaos_case(7, fault="branches")
         assert (first.decided, first.unknowns) == (
             second.decided,
             second.unknowns,
@@ -123,16 +123,16 @@ class TestSingleCase:
 
 
 class TestChaosSuiteInvariants:
-    """The tentpole guarantee: 60+ seeded cases, both engines, all faults.
+    """The tentpole guarantee: 60 seeded cases, all faults.
 
-    30 seeds x 2 search modes = 60 cases; the suite rotates through all
-    six fault kinds, so every degradation pathway is hit in both
-    engines.  A failure prints the exact (seed, search, fault) triple.
+    One case per seed; the suite rotates through all six fault kinds, so
+    every degradation pathway is hit ten times.  A failure prints the
+    exact (seed, fault) pair.
     """
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_chaos_suite(range(30), searches=("trail", "copying"))
+        return run_chaos_suite(range(60))
 
     def test_no_invariant_violations(self, report):
         assert report.ok, report.render()
@@ -159,12 +159,11 @@ class TestChaosSuiteInvariants:
 class TestReasonerReusabilityAfterHardAborts:
     """Raw BudgetExceeded (boolean API) must also leave a clean state."""
 
-    @pytest.mark.parametrize("search", ["trail", "copying"])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_abort_then_reuse(self, search, seed):
+    @pytest.mark.parametrize("seed", range(16))
+    def test_abort_then_reuse(self, seed):
         kb = generate_kb(GeneratorConfig(seed=seed, **CHAOS_KB))
-        cold = Reasoner(kb, search=search, use_cache=False)
-        victim = Reasoner(kb, search=search)
+        cold = Reasoner(kb, use_cache=False)
+        victim = Reasoner(kb)
         atoms = sorted(kb.concepts_in_signature(), key=lambda a: a.name)[:2]
         individuals = sorted(
             kb.individuals_in_signature(), key=lambda i: i.name
@@ -180,4 +179,4 @@ class TestReasonerReusabilityAfterHardAborts:
             for atom in atoms:
                 assert victim.is_instance(individual, atom) == cold.is_instance(
                     individual, atom
-                ), f"seed={seed} search={search}"
+                ), f"seed={seed}"

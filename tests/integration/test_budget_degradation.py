@@ -27,6 +27,7 @@ from repro.dl import (
 )
 from repro.four_dl import ConceptInclusion4, InclusionKind, Reasoner4, from_classical
 from repro.fourvalued.truth import FourValue
+from repro.workloads import ScalingConfig, ScalingProfile, generate_scaling_kb4
 
 X = Individual("x")
 
@@ -115,6 +116,33 @@ class TestExponentialKBAcceptance:
             probe, Budget(max_branches=100), factor=16.0, attempts=3
         )
         assert verdict.is_false()
+
+
+class TestDeadlineOnALargeABox:
+    """The deadline must hold inside one tableau run, not just between passes.
+
+    On the 2,000-axiom ABox-heavy corpus point this probe takes a single
+    tableau run whose expansion passes each visit every individual's
+    node and take 0.1-0.3 s.  Ticked once per pass, a meter that reads
+    the clock every 16 ticks let the answer come seconds late.
+    """
+
+    def test_half_second_deadline_answers_within_a_second(self):
+        kb4 = generate_scaling_kb4(
+            ScalingConfig(
+                n_axioms=2000, profile=ScalingProfile.ABOX_HEAVY, seed=0
+            )
+        )
+        reasoner = Reasoner4(kb4)
+        axiom = ConceptInclusion4(
+            AtomicConcept("C16"), AtomicConcept("C20"), InclusionKind.STRONG
+        )
+        started = time.monotonic()
+        verdict = reasoner.entails_verdict(axiom, budget=Budget(deadline=0.5))
+        elapsed = time.monotonic() - started
+        assert verdict.is_unknown()
+        assert verdict.reason is DegradationReason.DEADLINE
+        assert elapsed < 1.0, f"degradation took {elapsed:.3f}s"
 
 
 class TestReasoner4Degradation:

@@ -131,30 +131,18 @@ class TestStatsFlag:
         assert "work:" not in capsys.readouterr().out
 
 
-class TestSearchFlag:
-    def test_trail_is_the_default_and_reports_trail_counters(
-        self, penguin_file, capsys
-    ):
+class TestSearchFlags:
+    def test_stats_report_trail_counters(self, penguin_file, capsys):
         assert main(["check", penguin_file, "--stats"]) == 0
         assert "trail:" in capsys.readouterr().out
 
-    def test_copying_mode_omits_trail_counters(self, penguin_file, capsys):
-        assert main(["check", penguin_file, "--stats", "--search", "copying"]) == 0
-        assert "trail:" not in capsys.readouterr().out
-
-    def test_modes_agree_on_the_answer(self, penguin_file, capsys):
-        trail = main(["query", penguin_file, "tweety", "Penguin", "--search", "trail"])
-        trail_out = capsys.readouterr().out.splitlines()[0]
-        copying = main(
-            ["query", penguin_file, "tweety", "Penguin", "--search", "copying"]
-        )
-        copying_out = capsys.readouterr().out.splitlines()[0]
-        assert trail == copying
-        assert trail_out == copying_out
-
-    def test_unknown_mode_is_a_usage_error(self, penguin_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", penguin_file, "--search", "dfs"])
+    @pytest.mark.parametrize(
+        "flags", [["--search", "trail"], ["--no-incremental"]]
+    )
+    def test_removed_flags_are_usage_errors(self, penguin_file, flags):
+        with pytest.raises(SystemExit) as raised:
+            main(["check", penguin_file, *flags])
+        assert raised.value.code == 2
 
 
 class TestTransformAndExport:

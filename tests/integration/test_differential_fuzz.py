@@ -13,9 +13,11 @@ seeded random KBs we cross-check them pairwise:
   memoised transform entirely;
 * **tableau vs model enumeration** — on tiny signatures the brute-force
   enumerator is conclusive and arbitrates both of the above;
-* **trail vs copying search** — the backjumping trail engine must match
-  the copy-per-branch oracle verdict for verdict while never exploring
-  more branches;
+* **tableau vs verified models** — every SAT answer of a tableau run is
+  checked against the finite model read off its completed graph (counted
+  as witnessed when :meth:`Interpretation.is_model` accepts it for the KB
+  plus the probe), and every UNSAT answer against the enumerator, which
+  must find no model over the named individuals;
 * **saturation vs trail tableau** — on seeded KBs drawn entirely from
   the tractable fragment, the consequence-driven fast path must agree
   with a tableau-pinned reasoner on satisfiability verdicts, the
@@ -33,6 +35,7 @@ Across the parametrised cases the suite covers well over 200 distinct
 seeded KBs with the cache both on and off.
 """
 
+import functools
 import random
 
 import pytest
@@ -51,6 +54,7 @@ from repro.dl import (
     Not,
     RoleAssertion,
     RoleInclusion,
+    Tableau,
     fragment_report,
 )
 from repro.dl.reasoner import Reasoner
@@ -227,46 +231,100 @@ class TestTableauVsEnumeration:
             assert not enum_sat, f"seed={seed}: unsat but 4-model exists"
 
 
-class TestTrailVsCopying:
-    """The trail engine vs the copy-per-branch oracle, seed for seed.
+def _checked_runs(kb, runs):
+    """Check recorded tableau answers against oracles sharing no search code.
 
-    Verdicts must be identical and the backjumping trail must never
-    explore *more* branches than chronological backtracking.
+    ``runs`` holds ``(probes, satisfiable, model)`` triples, ``model``
+    being what :meth:`Tableau.extract_model` read off the completed
+    graph of a SAT run.  Returns the ``(sat, witnessed, unsat)`` counts
+    and the probe sets of the UNSAT answers the enumerator contradicts.
+    """
+    sat = witnessed = unsat = 0
+    contradicted = []
+    for probes, satisfiable, model in runs:
+        whole = KnowledgeBase.of(list(kb.axioms()) + list(probes))
+        if satisfiable:
+            sat += 1
+            witnessed += model is not None and model.is_model(whole)
+        else:
+            unsat += 1
+            if classical_satisfiable_by_enumeration(whole, max_extra_elements=0):
+                contradicted.append(probes)
+    return (sat, witnessed, unsat), contradicted
+
+
+@functools.lru_cache(maxsize=None)
+def _classical_oracle_counts(seed):
+    """Consistency plus every ``a : not C`` instance probe, on one tableau."""
+    kb = generate_kb(GeneratorConfig(seed=seed, **SMALL))
+    atoms, individuals = _signature(kb)
+    tableau = Tableau(kb)
+    runs = []
+    for probes in [()] + [
+        (ConceptAssertion(individual, Not(atom)),)
+        for individual in individuals
+        for atom in atoms
+    ]:
+        satisfiable = tableau.is_satisfiable(probes)
+        model = tableau.extract_model() if satisfiable else None
+        runs.append((probes, satisfiable, model))
+    return _checked_runs(kb, runs)
+
+
+@functools.lru_cache(maxsize=None)
+def _four_valued_oracle_counts(seed):
+    """Every tableau run ``Reasoner4.assertion_value`` makes, recorded."""
+    kb4 = generate_kb4(GeneratorConfig(seed=seed, **SMALL))
+    atoms = sorted(kb4.concepts_in_signature(), key=lambda a: a.name)
+    individuals = sorted(kb4.individuals_in_signature(), key=lambda i: i.name)
+    reasoner = Reasoner4(kb4, use_cache=False)
+    tableau = reasoner.classical_reasoner._tableau
+    run = tableau.is_satisfiable
+    runs = []
+
+    def recording(probes=(), **kwargs):
+        probes = tuple(probes)
+        satisfiable = run(probes, **kwargs)
+        model = tableau.extract_model() if satisfiable else None
+        runs.append((probes, satisfiable, model))
+        return satisfiable
+
+    tableau.is_satisfiable = recording
+    for individual in individuals:
+        for atom in atoms:
+            reasoner.assertion_value(individual, atom)
+    return _checked_runs(reasoner.classical_kb, runs)
+
+
+class TestTableauVsVerifiedModels:
+    """Tableau answers vs oracles that share no search code with it.
+
+    A SAT answer is *witnessed* when the model extracted from its
+    completed graph is verified against the KB plus the probe; graphs
+    completed through blocking describe infinite models and stay
+    unwitnessed, so the witnessed totals are pinned rather than required
+    to be complete.  An UNSAT answer must leave the enumerator without a
+    model over the named individuals.
     """
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_classical_verdicts_and_branch_bounds_agree(self, seed):
-        kb = generate_kb(GeneratorConfig(seed=seed, **SMALL))
-        atoms, individuals = _signature(kb)
-        trail = Reasoner(kb, use_cache=False, search="trail")
-        copying = Reasoner(kb, use_cache=False, search="copying")
-        assert _probe_answers(trail, atoms, individuals) == _probe_answers(
-            copying, atoms, individuals
-        ), f"seed={seed}"
-        assert (
-            trail.stats.branches_explored <= copying.stats.branches_explored
-        ), f"seed={seed}"
-        assert copying.stats.trail_length == 0
+    def test_classical_answers_hold_up(self, seed):
+        _counts, contradicted = _classical_oracle_counts(seed)
+        assert contradicted == [], f"seed={seed}"
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_four_valued_verdicts_agree(self, seed):
-        kb4 = generate_kb4(GeneratorConfig(seed=seed, **SMALL))
-        atoms = sorted(kb4.concepts_in_signature(), key=lambda a: a.name)
-        individuals = sorted(
-            kb4.individuals_in_signature(), key=lambda i: i.name
-        )
-        trail = Reasoner4(kb4, use_cache=False, search="trail")
-        copying = Reasoner4(kb4, use_cache=False, search="copying")
-        for individual in individuals:
-            for atom in atoms:
-                assert trail.assertion_value(
-                    individual, atom
-                ) is copying.assertion_value(
-                    individual, atom
-                ), f"seed={seed} {atom.name}({individual.name})"
-        assert (
-            trail.stats.branches_explored <= copying.stats.branches_explored
-        ), f"seed={seed}"
+    def test_four_valued_answers_hold_up(self, seed):
+        _counts, contradicted = _four_valued_oracle_counts(seed)
+        assert contradicted == [], f"seed={seed}"
+
+    def test_witnessed_totals_are_pinned(self):
+        def totals(oracle, seeds):
+            counts = [oracle(seed)[0] for seed in seeds]
+            return [sum(column) for column in zip(*counts)]
+
+        # [SAT answers, witnessed SAT answers, UNSAT answers confirmed]
+        assert totals(_classical_oracle_counts, range(40)) == [160, 149, 102]
+        assert totals(_four_valued_oracle_counts, range(20)) == [153, 137, 5]
 
 
 def tractable_kb(seed):

@@ -1,20 +1,27 @@
-"""Counter-backed evidence that trail search with backjumping beats copying.
+"""Trail search with backjumping on the shipped university ontology.
 
-Acceptance is measured in *work* (branch counters), not wall-clock: on
-the shipped university ontology the trail engine must never explore more
-branches than the copy-per-branch oracle, agree with it on every
-verdict, and on a refutation query whose clash is independent of the
-ontology's many root-level disjunction choices it must answer within a
-branch budget the chronological search provably blows through.
+Acceptance is measured in *work* (branch counters), not wall-clock: on a
+refutation query whose clash is independent of the ontology's many
+root-level disjunction choices, the trail engine must answer within a
+small branch budget.  Its answers are checked against finite models read
+off completed graphs (:meth:`Tableau.extract_model`) and verified with
+:meth:`Interpretation.is_model`, which shares no code with the search.
 """
 
 import os
 
-import pytest
-
-from repro.dl import And, Exists, Not, Or, Reasoner
+from repro.dl import (
+    And,
+    ConceptAssertion,
+    Exists,
+    Individual,
+    KnowledgeBase,
+    Not,
+    Or,
+    Reasoner,
+    Tableau,
+)
 from repro.dl.concepts import AtomicConcept
-from repro.dl.errors import ReasonerLimitExceeded
 from repro.dl.parser import parse_kb4
 from repro.dl.roles import AtomicRole
 from repro.four_dl import positive_concept, positive_role, transform_kb
@@ -22,6 +29,8 @@ from repro.four_dl import positive_concept, positive_role, transform_kb
 ONTOLOGY_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "ontologies"
 )
+
+PROBE = Individual("__probe__")
 
 
 def _induced(name):
@@ -31,6 +40,14 @@ def _induced(name):
 
 def _pos(name):
     return positive_concept(AtomicConcept(name))
+
+
+def _verified_model(tableau, probes):
+    """The model of a SAT run, if it verifies against the KB plus probes."""
+    assert tableau.is_satisfiable(probes)
+    model = tableau.extract_model()
+    whole = KnowledgeBase.of(list(tableau.kb.axioms()) + list(probes))
+    return model if model is not None and model.is_model(whole) else None
 
 
 #: A concept unsatisfiable w.r.t. the university TBox: anything supervised
@@ -45,9 +62,9 @@ def _impossible_supervisee():
     )
 
 
-def test_university_trail_answers_within_a_budget_copying_blows():
+def test_university_refutation_backjumps_within_a_small_budget():
     induced = _induced("university.kb4")
-    trail = Reasoner(induced, search="trail", use_cache=False)
+    trail = Reasoner(induced, use_cache=False)
     assert not trail.is_satisfiable(_impossible_supervisee())
     assert trail.stats.branches_explored < 100
     assert trail.stats.backjumps > 0
@@ -55,40 +72,88 @@ def test_university_trail_answers_within_a_budget_copying_blows():
     # the probe grows fresh successors, so incremental blocking actually ran
     assert trail.stats.blocking_checks > 0
 
-    copying = Reasoner(
-        induced, search="copying", use_cache=False, max_branches=5000
-    )
-    with pytest.raises(ReasonerLimitExceeded):
-        copying.is_satisfiable(_impossible_supervisee())
-    # strictly fewer branches: the oracle burnt its whole budget and the
-    # trail finished in under 2% of it
-    assert trail.stats.branches_explored < copying.stats.branches_explored
+
+#: The instance answers of the battery below that the KB entails.
+ENTAILED = [
+    ("ada", "Doctorate__pos"),
+    ("ada", "Faculty__pos"),
+    ("ada", "Person__pos"),
+    ("ada", "Professor__pos"),
+    ("ada", "ProjectLead__pos"),
+    ("ada", "Staff__pos"),
+    ("alan", "Person__pos"),
+    ("alan", "Student__pos"),
+    ("emmy", "FundedStudent__pos"),
+    ("emmy", "Person__pos"),
+    ("emmy", "Student__pos"),
+    ("grace", "Doctorate__neg"),
+    ("grace", "Faculty__pos"),
+    ("grace", "Lecturer__pos"),
+    ("grace", "Person__pos"),
+    ("grace", "Staff__pos"),
+]
 
 
-def test_university_battery_verdicts_agree_and_trail_never_does_more():
+def test_university_battery_non_entailments_are_witnessed():
+    """4 individuals x 19 atoms: 16 entailed, 60 witnessed by models."""
     induced = _induced("university.kb4")
     atoms = sorted(induced.concepts_in_signature(), key=lambda c: c.name)
-    individuals = sorted(induced.individuals_in_signature())
+    individuals = sorted(induced.individuals_in_signature())[:4]
+    tableau = Tableau(induced)
+    assert _verified_model(tableau, ()) is not None
+    reasoner = Reasoner(induced, use_cache=False)
+    entailed = []
+    witnessed = 0
+    for individual in individuals:
+        for atom in atoms:
+            if reasoner.is_instance(individual, atom):
+                entailed.append((individual.name, atom.name))
+                continue
+            probe = ConceptAssertion(individual, Not(atom))
+            witnessed += _verified_model(tableau, (probe,)) is not None
+    assert entailed == ENTAILED
+    assert witnessed == len(individuals) * len(atoms) - len(ENTAILED) == 60
 
-    def battery(reasoner):
-        answers = [reasoner.is_consistent()]
-        answers += [
-            reasoner.is_instance(individual, atom)
-            for individual in individuals[:4]
-            for atom in atoms
-        ]
-        return answers
 
-    trail = Reasoner(induced, search="trail", use_cache=False)
-    copying = Reasoner(induced, search="copying", use_cache=False)
-    assert battery(trail) == battery(copying)
-    assert trail.stats.branches_explored <= copying.stats.branches_explored
-    assert trail.stats.tableau_runs == copying.stats.tableau_runs
+def test_university_taxonomy_non_subsumptions_are_witnessed():
+    """Every pair ``classify`` leaves out is refuted by a verified model.
 
-
-def test_university_classification_identical_across_modes():
+    One model per atom (satisfiability of a fresh instance) refutes
+    most non-subsumptions at once: any element in ``A`` but not in
+    ``B`` refutes ``A [= B``.  The few pairs no such model separates
+    get a model of ``A and not B`` of their own.  No subsumption that
+    ``classify`` reports may be refuted by any of these models.
+    """
     induced = _induced("university.kb4")
-    trail = Reasoner(induced, search="trail", use_cache=False)
-    copying = Reasoner(induced, search="copying", use_cache=False)
-    assert trail.classify() == copying.classify()
-    assert trail.stats.branches_explored <= copying.stats.branches_explored
+    atoms = sorted(induced.concepts_in_signature(), key=lambda c: c.name)
+    hierarchy = Reasoner(induced).classify()
+    tableau = Tableau(induced)
+    refuted = set()
+
+    def refute_with(model):
+        for element in model.domain:
+            members = {a for a in atoms if element in model.concept_ext[a]}
+            refuted.update((a, b) for a in members for b in atoms if b not in members)
+
+    for atom in atoms:
+        model = _verified_model(tableau, (ConceptAssertion(PROBE, atom),))
+        assert model is not None, atom
+        refute_with(model)
+    claimed = {(sub, sup) for sub in atoms for sup in hierarchy[sub]}
+    assert not claimed & refuted
+    left_over = sorted(
+        (
+            (sub, sup)
+            for sub in atoms
+            for sup in atoms
+            if (sub, sup) not in claimed | refuted
+        ),
+        key=repr,
+    )
+    for sub, sup in left_over:
+        probe = ConceptAssertion(PROBE, And.of(sub, Not(sup)))
+        model = _verified_model(tableau, (probe,))
+        assert model is not None, (sub, sup)
+        refute_with(model)
+    assert not claimed & refuted
+    assert len(claimed) + len(refuted) == len(atoms) ** 2
