@@ -64,8 +64,9 @@ def test_university_classification_counters_within_baseline():
         f"abort(s): the default configuration must never impose a budget"
     )
     # Which engine answered: the university KB's induced form carries
-    # residue axioms (core-mode saturation), so every subsumption probe
-    # is declined by the fast path and decided by the tableau.  The
+    # residue axioms (core-mode saturation), so the fast path proves
+    # the subsumptions its entailment closure reaches and declines the
+    # rest, which the kept models or the tableau decide.  The
     # dispatcher must still have consulted saturation first each time.
     assert stats.saturation_queries == baseline["saturation_queries"], (
         f"engine split changed: saturation answered "
@@ -73,10 +74,14 @@ def test_university_classification_counters_within_baseline():
         f"{baseline['saturation_queries']}; if intentional (e.g. the "
         f"fragment widened), re-record {BASELINE_PATH}"
     )
-    assert stats.saturation_fallbacks == stats.tableau_runs, (
+    assert (
+        stats.saturation_fallbacks
+        == stats.tableau_runs + stats.model_witnesses
+    ), (
         f"dispatch accounting broken: {stats.saturation_fallbacks} "
-        f"saturation fallbacks but {stats.tableau_runs} tableau runs — "
-        f"every tableau decision should follow a saturation decline"
+        f"saturation fallbacks but {stats.tableau_runs} tableau runs and "
+        f"{stats.model_witnesses} model witnesses — every tableau or "
+        f"model decision should follow a saturation decline"
     )
     assert (
         stats.saturation_fallbacks

@@ -22,29 +22,23 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from . import (
-    baselines,
-    dl,
-    eval,
-    explain,
-    four_dl,
-    fourvalued,
-    harness,
-    obs,
-    semantics,
-    workloads,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, _subpackages = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".baselines": ("baselines",),
+        ".dl": ("dl",),
+        ".eval": ("eval",),
+        ".explain": ("explain",),
+        ".four_dl": ("four_dl",),
+        ".fourvalued": ("fourvalued",),
+        ".harness": ("harness",),
+        ".obs": ("obs",),
+        ".semantics": ("semantics",),
+        ".workloads": ("workloads",),
+    },
 )
 
-__all__ = [
-    "__version__",
-    "baselines",
-    "dl",
-    "eval",
-    "explain",
-    "four_dl",
-    "fourvalued",
-    "harness",
-    "obs",
-    "semantics",
-    "workloads",
-]
+__all__ = ["__version__", *_subpackages]

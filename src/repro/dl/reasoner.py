@@ -10,23 +10,35 @@ OWL DL entailment):
 * instance checking ``a : C`` — unsatisfiability of ``KB + {a : not C}``;
 * role-assertion entailment — via nominals: ``R(a, b)`` is entailed iff
   ``KB + {a : all R.not {b}}`` is unsatisfiable;
-* classification — told-subsumer seeding plus enhanced top-down /
-  bottom-up traversal insertion into a growing taxonomy DAG.
+* classification — model-driven: verified models refute the
+  non-subsumptions, and only the candidates no model refutes are proved.
 
 Every service funnels through one cached satisfiability entry point
 (:meth:`Reasoner._satisfiable_with`): probes are canonicalised to NNF and
-looked up in a :class:`~repro.dl.cache.QueryCache` before the tableau
-runs.  The cache is invalidated — and the tableau rebuilt — whenever the
-KB's ``version`` counter moves, so mutating the KB after queries never
-serves stale answers.  :class:`~repro.dl.stats.ReasonerStats` counters
-record how much work each service actually did.
+looked up in a :class:`~repro.dl.cache.QueryCache`; a miss goes to the
+saturation fast path, then to the verified models kept from earlier SAT
+tableau runs (a model that satisfies the probe set proves SAT), and only
+then to the tableau.  The cache is invalidated — and the tableau rebuilt
+— whenever the KB's ``version`` counter moves, so mutating the KB after
+queries never serves stale answers.  :class:`~repro.dl.stats.ReasonerStats`
+counters record how much work each service actually did.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .axioms import (
     ABoxAxiom,
@@ -68,9 +80,15 @@ from .stats import ReasonerStats
 from .tableau import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_NODES, Tableau
 from ..obs.spans import add_event, set_gauge, span as obs_span
 
+if TYPE_CHECKING:
+    from ..semantics.interpretation import Interpretation
+
 #: The fresh individual used for concept-satisfiability probes.  Fixing
 #: the name keeps the cache key of ``is_satisfiable(C)`` canonical.
 _PROBE = Individual("__probe__")
+
+#: How many verified models a reasoner keeps, most recently useful first.
+KEPT_MODELS = 8
 
 
 class Reasoner:
@@ -133,6 +151,12 @@ class Reasoner:
         # Built lazily on the first query (saturating a KB nobody
         # queries would be wasted work); dropped on KB mutation.
         self._saturation: Optional[SaturationEngine] = None
+        # Verified models of the KB read off SAT tableau runs, as
+        # (serial, model) pairs, most recently useful first (engine
+        # "auto" only).  The serial orders them by extraction, so the
+        # classifier can tell which ones it has already read.
+        self._models: List[Tuple[int, Interpretation]] = []
+        self._models_made = 0
         self._kb_version = kb.version
         # Classification memo: (atoms-key, hierarchy, kb-consistent) of
         # the last classify() call, plus the dirty state accumulated by
@@ -177,6 +201,7 @@ class Reasoner:
         if delta is None:
             self._tableau = self._build_tableau()
             self._saturation = None
+            self._models.clear()
             self.cache.clear()
             self._classify_memo = None
             self._classify_dirty.clear()
@@ -211,6 +236,16 @@ class Reasoner:
                 else:
                     self.stats.resaturation_cone_size += cone
                     span.set("resaturation", cone)
+            # A model of the KB stays one after any removal; after an
+            # addition it stays one exactly when it satisfies the added
+            # axioms.
+            self._models = [
+                (serial, model)
+                for serial, model in self._models
+                if all(_satisfies(model, axiom) for axiom in added)
+            ]
+            self.stats.models_survived += len(self._models)
+            span.set("models_survived", len(self._models))
             for axiom in added | removed:
                 self._classify_dirty |= axiom_signature(axiom)
             self._classify_removed |= removed
@@ -223,9 +258,12 @@ class Reasoner:
         Under ``engine="auto"`` the saturation fast path
         (:mod:`repro.dl.saturation`) is consulted first; it answers
         polynomially for the tractable fragment and returns ``None`` for
-        anything it cannot soundly decide, in which case the tableau
-        runs.  Both engines write the same cache — a disagreement
-        surfaces as a :class:`~repro.dl.errors.CacheConflictError`.
+        anything it cannot soundly decide.  The kept verified models come
+        next: one that satisfies the probe set proves SAT (a model never
+        answers UNSAT).  Only then does the tableau run, and the model
+        of each SAT run is kept.  Every engine writes the same cache — a
+        disagreement surfaces as a
+        :class:`~repro.dl.errors.CacheConflictError`.
 
         Cache-soundness invariant: a verdict is stored only *after* an
         engine decided it.  An aborted search (budget exhaustion,
@@ -265,6 +303,11 @@ class Reasoner:
                 set_gauge("repro_query_cache_entries", len(self.cache))
                 return answer
             self.stats.saturation_fallbacks += 1
+        if self._models and self._model_witness(probes):
+            self.stats.model_witnesses += 1
+            self.cache.store(key, True)
+            set_gauge("repro_query_cache_entries", len(self.cache))
+            return True
         try:
             result = self._tableau.is_satisfiable(probes, meter=meter)
         except BudgetExceeded:
@@ -276,7 +319,41 @@ class Reasoner:
         deps = None if result else self._tableau.last_unsat_core
         self.cache.store(key, result, deps=deps)
         set_gauge("repro_query_cache_entries", len(self.cache))
+        if result and self.engine == "auto":
+            self._keep_model()
         return result
+
+    def _model_witness(self, probes: Sequence) -> bool:
+        """Whether a kept model satisfies ``probes`` (then it moves first)."""
+        with obs_span("model_check") as span:
+            span.set("models", len(self._models))
+            for position, (serial, model) in enumerate(self._models):
+                if _witnesses(model, probes):
+                    self._models.insert(0, self._models.pop(position))
+                    span.set("witnessed", True)
+                    return True
+            span.set("witnessed", False)
+            return False
+
+    def _keep_model(self) -> None:
+        """Keep the verified model of the tableau's last (SAT) run.
+
+        The probe individuals are unmapped, so a later probe may place
+        them anywhere; the KB's own individuals keep their elements.
+        """
+        model = self._tableau.extract_model()
+        if model is None:
+            return
+        named = self.kb.individuals_in_signature()
+        model.individual_map = {
+            individual: element
+            for individual, element in model.individual_map.items()
+            if individual in named
+        }
+        self.stats.models_extracted += 1
+        self._models_made += 1
+        self._models.insert(0, (self._models_made, model))
+        del self._models[KEPT_MODELS:]
 
     def _saturation_engine(self) -> Optional[SaturationEngine]:
         """The saturation fast path, when dispatch allows and it can help.
@@ -803,23 +880,12 @@ class Reasoner:
         """The full atomic subsumption hierarchy.
 
         Maps each atomic concept to the set of its (not necessarily
-        strict) atomic subsumers.  Instead of the naive pairwise sweep
-        (kept as :meth:`classify_pairwise`, the reference oracle), each
-        concept is inserted into a growing taxonomy DAG:
-
-        * **told subsumers** — inclusions ``A [= B1 and ... and Bk`` with
-          atomic left side yield asserted subsumers, closed transitively;
-          they answer traversal questions without the tableau and fix a
-          parents-before-children insertion order;
-        * **enhanced top search** — a node is tested only when *all* its
-          parents subsume the new concept (if any parent fails, no
-          descendant can subsume, by transitivity);
-        * **enhanced bottom search** — dually, a node is tested only when
-          all its children are subsumed by the new concept.
-
-        The result is identical to the pairwise sweep; the number of
-        tableau runs (see :attr:`stats`) is far below ``n**2`` on any
-        hierarchy that is not a flat clique.
+        strict) atomic subsumers.  Model-driven: a verified model with
+        an element of ``A`` outside ``B`` refutes ``A [= B``, so the
+        kept models and the model of every SAT run made on the way
+        settle the non-subsumptions, and :meth:`subsumes` is asked only
+        about the candidates no model refutes (see
+        :meth:`_classify_full`).
 
         Repeated calls are memoised per atom set.  After KB mutations
         absorbed by fine-grained :meth:`_sync`, the memoised taxonomy is
@@ -856,20 +922,55 @@ class Reasoner:
         ordered: Sequence[AtomicConcept],
         universe: FrozenSet[AtomicConcept],
     ) -> Dict[AtomicConcept, FrozenSet[AtomicConcept]]:
-        """The traversal-insertion classification of a consistent KB."""
-        told = self._told_subsumers(universe)
-        taxonomy = _Taxonomy()
-        unsatisfiable: List[AtomicConcept] = []
-        for concept in _told_order(ordered, told):
-            if not self.is_satisfiable(concept):
-                # Bottom-equivalent: subsumed by every atom, subsumes
-                # only other unsatisfiable atoms.
-                unsatisfiable.append(concept)
-                continue
-            self._insert(taxonomy, concept, told)
-        hierarchy = taxonomy.hierarchy()
-        for atom in unsatisfiable:
-            hierarchy[atom] = universe
+        """The model-driven classification of a consistent KB.
+
+        The candidate subsumers of ``A`` are the atoms that hold every
+        element of ``A`` in every model read so far.  An atom no model
+        instantiates gets one satisfiability test; the model of that SAT
+        run instantiates it.  The candidates left are proved with
+        :meth:`subsumes` (saturation's entailment closure or the
+        tableau), and the model of each refuting SAT run prunes the
+        candidates after it.
+        """
+        candidates = {atom: set(ordered) for atom in ordered}
+        instantiated: Set[AtomicConcept] = set()
+        newest = 0
+
+        def read_new_models() -> None:
+            nonlocal newest
+            for serial, model in self._models:
+                if serial <= newest:
+                    continue
+                types: Dict[object, Set[AtomicConcept]] = {}
+                for atom in ordered:
+                    for element in model.concept_ext.get(atom, ()):
+                        types.setdefault(element, set()).add(atom)
+                for kind in {frozenset(atoms) for atoms in types.values()}:
+                    for atom in kind:
+                        candidates[atom] &= kind
+                    instantiated.update(kind)
+            newest = self._models_made
+
+        read_new_models()
+        satisfiable: List[AtomicConcept] = []
+        for atom in ordered:
+            if atom in instantiated or self.is_satisfiable(atom):
+                satisfiable.append(atom)
+                read_new_models()
+        hierarchy = {atom: universe for atom in ordered}
+        for atom in satisfiable:
+            row = {atom}
+            for candidate in sorted(
+                candidates[atom].intersection(satisfiable) - row,
+                key=lambda a: a.name,
+            ):
+                if candidate not in candidates[atom]:
+                    continue  # refuted by a model read since
+                if self.subsumes(candidate, atom):
+                    row.add(candidate)
+                else:
+                    read_new_models()
+            hierarchy[atom] = frozenset(row)
         return hierarchy
 
     def _store_classification(
@@ -962,144 +1063,6 @@ class Reasoner:
                 )
         return merged
 
-    def classify_pairwise(
-        self, atoms: Optional[Iterable[AtomicConcept]] = None
-    ) -> Dict[AtomicConcept, FrozenSet[AtomicConcept]]:
-        """The O(n^2) pairwise reference classification.
-
-        Same result as :meth:`classify`; kept for differential testing
-        and as the benchmark baseline for the traversal classifier.
-        """
-        if atoms is None:
-            atoms = self.kb.concepts_in_signature()
-        ordered = sorted(set(atoms), key=lambda a: a.name)
-        hierarchy: Dict[AtomicConcept, FrozenSet[AtomicConcept]] = {}
-        for sub in ordered:
-            hierarchy[sub] = frozenset(
-                sup for sup in ordered if self.subsumes(sup, sub)
-            )
-        return hierarchy
-
-    def _told_subsumers(
-        self, atoms: FrozenSet[AtomicConcept]
-    ) -> Dict[AtomicConcept, FrozenSet[AtomicConcept]]:
-        """Transitively closed asserted subsumers, restricted to ``atoms``.
-
-        Sound by construction: ``A [= B1 and ... and Bk`` entails
-        ``A [= Bi`` for every conjunct, and subsumption is transitive.
-        """
-        direct: Dict[AtomicConcept, Set[AtomicConcept]] = {}
-        for inclusion in self.kb.concept_inclusions:
-            sub = inclusion.sub
-            if isinstance(sub, AtomicConcept) and sub in atoms:
-                direct.setdefault(sub, set()).update(
-                    _conjoined_atoms(inclusion.sup, atoms)
-                )
-        closed: Dict[AtomicConcept, FrozenSet[AtomicConcept]] = {}
-        for atom in atoms:
-            reached: Set[AtomicConcept] = set()
-            frontier = list(direct.get(atom, ()))
-            while frontier:
-                current = frontier.pop()
-                if current in reached or current == atom:
-                    continue
-                reached.add(current)
-                frontier.extend(direct.get(current, ()))
-            if reached:
-                closed[atom] = frozenset(reached)
-        return closed
-
-    def _insert(
-        self,
-        taxonomy: "_Taxonomy",
-        concept: AtomicConcept,
-        told: Dict[AtomicConcept, FrozenSet[AtomicConcept]],
-    ) -> None:
-        """Place one satisfiable atom into the taxonomy DAG."""
-        subsumers = self._top_search(taxonomy, concept, told)
-        parents = {
-            node
-            for node in subsumers
-            if node is not taxonomy.top
-            and not any(child in subsumers for child in node.children)
-        } or {taxonomy.top}
-        subsumees = self._bottom_search(taxonomy, concept, told)
-        equivalent = subsumers & subsumees
-        if equivalent:
-            # C sits exactly on an existing node: merge, no new edges.
-            node = next(iter(equivalent))
-            node.members.add(concept)
-            return
-        children = {
-            node
-            for node in subsumees
-            if not any(parent in subsumees for parent in node.parents)
-        }
-        taxonomy.insert(concept, parents, children)
-
-    def _top_search(
-        self,
-        taxonomy: "_Taxonomy",
-        concept: AtomicConcept,
-        told: Dict[AtomicConcept, FrozenSet[AtomicConcept]],
-    ) -> Set["_TaxonomyNode"]:
-        """All nodes whose representative subsumes ``concept``.
-
-        Enhanced traversal: subsumers are upward-closed in the DAG, so a
-        node with a non-subsuming parent is pruned without a tableau call;
-        told subsumers short-circuit positively.
-        """
-        told_subsumers = told.get(concept, frozenset())
-        decided: Dict[_TaxonomyNode, bool] = {taxonomy.top: True}
-
-        def subsumes_concept(node: _TaxonomyNode) -> bool:
-            known = decided.get(node)
-            if known is not None:
-                return known
-            if not all(subsumes_concept(parent) for parent in node.parents):
-                result = False
-            elif node.members & told_subsumers:
-                self.stats.told_subsumptions += 1
-                result = True
-            else:
-                result = self.subsumes(node.rep, concept)
-            decided[node] = result
-            return result
-
-        return {node for node in taxonomy.nodes if subsumes_concept(node)}
-
-    def _bottom_search(
-        self,
-        taxonomy: "_Taxonomy",
-        concept: AtomicConcept,
-        told: Dict[AtomicConcept, FrozenSet[AtomicConcept]],
-    ) -> Set["_TaxonomyNode"]:
-        """All nodes whose representative is subsumed by ``concept``.
-
-        Dual pruning: subsumees are downward-closed, so a node with a
-        non-subsumed child cannot be subsumed; a node whose own told
-        subsumers include ``concept`` is subsumed without a tableau call.
-        """
-        decided: Dict[_TaxonomyNode, bool] = {}
-
-        def subsumed_by_concept(node: _TaxonomyNode) -> bool:
-            known = decided.get(node)
-            if known is not None:
-                return known
-            if not all(subsumed_by_concept(child) for child in node.children):
-                result = False
-            elif any(
-                concept in told.get(member, ()) for member in node.members
-            ):
-                self.stats.told_subsumptions += 1
-                result = True
-            else:
-                result = self.subsumes(concept, node.rep)
-            decided[node] = result
-            return result
-
-        return {node for node in taxonomy.nodes if subsumed_by_concept(node)}
-
     def unsatisfiable_concepts(self) -> FrozenSet[AtomicConcept]:
         """Atomic concepts with no possible instances under the KB."""
         return frozenset(
@@ -1136,83 +1099,6 @@ class PartialClassification:
         return not self.undecided
 
 
-# ---------------------------------------------------------------------------
-# Taxonomy DAG
-# ---------------------------------------------------------------------------
-
-class _TaxonomyNode:
-    """One equivalence class of atomic concepts in the taxonomy DAG."""
-
-    __slots__ = ("members", "parents", "children")
-
-    def __init__(self, members: Set[AtomicConcept]):
-        self.members = members
-        self.parents: Set[_TaxonomyNode] = set()
-        self.children: Set[_TaxonomyNode] = set()
-
-    @property
-    def rep(self) -> AtomicConcept:
-        """The representative used in tableau tests."""
-        return next(iter(self.members))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<node {sorted(m.name for m in self.members)}>"
-
-
-class _Taxonomy:
-    """A growing subsumption DAG with a virtual top element.
-
-    Edges are covering links between equivalence classes; the ancestor
-    closure over inserted atoms always equals entailed subsumption —
-    that invariant is what makes the enhanced searches complete.
-    """
-
-    def __init__(self) -> None:
-        self.top = _TaxonomyNode(set())
-        self.nodes: List[_TaxonomyNode] = []
-
-    def insert(
-        self,
-        concept: AtomicConcept,
-        parents: Set[_TaxonomyNode],
-        children: Set[_TaxonomyNode],
-    ) -> None:
-        node = _TaxonomyNode({concept})
-        for parent in parents:
-            # Direct parent-child links now route through the new node.
-            for child in children & parent.children:
-                parent.children.discard(child)
-                child.parents.discard(parent)
-            parent.children.add(node)
-            node.parents.add(parent)
-        for child in children:
-            child.parents.add(node)
-            node.children.add(child)
-        self.nodes.append(node)
-
-    def hierarchy(self) -> Dict[AtomicConcept, FrozenSet[AtomicConcept]]:
-        """Reflexive-transitive subsumers of every inserted atom."""
-        ancestors: Dict[_TaxonomyNode, FrozenSet[AtomicConcept]] = {
-            self.top: frozenset()
-        }
-
-        def ancestry(node: _TaxonomyNode) -> FrozenSet[AtomicConcept]:
-            known = ancestors.get(node)
-            if known is None:
-                known = frozenset(node.members).union(
-                    *(ancestry(parent) for parent in node.parents)
-                )
-                ancestors[node] = known
-            return known
-
-        result: Dict[AtomicConcept, FrozenSet[AtomicConcept]] = {}
-        for node in self.nodes:
-            subsumers = ancestry(node)
-            for member in node.members:
-                result[member] = subsumers
-        return result
-
-
 def _kb_has_nominals(axioms: Iterable[Axiom]) -> bool:
     """Whether any concept in ``axioms`` mentions a nominal (``OneOf``).
 
@@ -1232,44 +1118,52 @@ def _kb_has_nominals(axioms: Iterable[Axiom]) -> bool:
     return False
 
 
-def _conjoined_atoms(
-    concept: Concept, atoms: FrozenSet[AtomicConcept]
-) -> Set[AtomicConcept]:
-    """The atomic conjuncts of a concept (told-subsumer candidates)."""
-    if isinstance(concept, AtomicConcept):
-        return {concept} if concept in atoms else set()
-    if isinstance(concept, And):
-        found: Set[AtomicConcept] = set()
-        for operand in concept.operands:
-            found |= _conjoined_atoms(operand, atoms)
-        return found
-    return set()
+def _named_individuals(axiom: Axiom) -> Set[Individual]:
+    """The individuals an axiom names, nominals included."""
+    return {
+        Individual(name)
+        for kind, name in axiom_signature(axiom)
+        if kind == "i"
+    }
 
 
-def _told_order(
-    atoms: Sequence[AtomicConcept],
-    told: Dict[AtomicConcept, FrozenSet[AtomicConcept]],
-) -> List[AtomicConcept]:
-    """Atoms in told-subsumer topological order (parents first).
+def _satisfies(model: "Interpretation", axiom: Axiom) -> bool:
+    """Whether ``model`` satisfies ``axiom``; an axiom naming an
+    individual the model does not map fails."""
+    mapped = model.individual_map
+    return all(
+        individual in mapped for individual in _named_individuals(axiom)
+    ) and model.satisfies(axiom)
 
-    Inserting a concept after its told subsumers lets the traversal
-    searches answer those nodes without tableau calls.  Cycles (mutual
-    told subsumption) fall back to the incoming deterministic order.
+
+def _witnesses(model: "Interpretation", probes: Sequence) -> bool:
+    """Whether some assignment of the unmapped individuals makes
+    ``model`` satisfy every probe.
+
+    A probe individual the model does not map may denote any element,
+    so its concept assertions hold when their extensions intersect.
+    Anywhere else (a nominal, a role assertion, an (in)equality or a
+    data assertion) an unmapped individual makes the check decline:
+    :meth:`~repro.semantics.interpretation.Interpretation.extension`
+    reads an unmapped nominal as empty, which is not a witness.
     """
-    ordered: List[AtomicConcept] = []
-    visiting: Set[AtomicConcept] = set()
-    placed: Set[AtomicConcept] = set()
-
-    def visit(atom: AtomicConcept) -> None:
-        if atom in placed or atom in visiting:
-            return
-        visiting.add(atom)
-        for subsumer in sorted(told.get(atom, ()), key=lambda a: a.name):
-            visit(subsumer)
-        visiting.discard(atom)
-        placed.add(atom)
-        ordered.append(atom)
-
-    for atom in atoms:
-        visit(atom)
-    return ordered
+    mapped = model.individual_map
+    fresh: Dict[Individual, FrozenSet] = {}
+    for probe in probes:
+        if not isinstance(probe, ConceptAssertion):
+            if not _satisfies(model, probe):
+                return False
+            continue
+        if any(name not in mapped for name in nominals(probe.concept)):
+            return False
+        extension = model.extension(probe.concept)
+        individual = probe.individual
+        if individual in mapped:
+            if mapped[individual] not in extension:
+                return False
+            continue
+        allowed = fresh.get(individual, extension) & extension
+        if not allowed:
+            return False
+        fresh[individual] = allowed
+    return True

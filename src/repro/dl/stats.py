@@ -3,7 +3,7 @@
 Wall-clock timings (``harness.timing``) vary with the machine; these
 counters do not.  They let benchmarks and tests assert *how much work* a
 reasoning service performed — tableau runs issued, branches explored,
-query-cache hits — so an optimisation like traversal classification can be
+query-cache hits — so an optimisation like model-driven classification can be
 pinned down as "strictly fewer tableau calls than the pairwise sweep"
 rather than "felt faster today".
 
@@ -36,11 +36,15 @@ class ReasonerStats:
       polynomial saturation fast path (no tableau run);
     * ``saturation_fallbacks`` — probes the saturation engine declined
       (outside the fragment, or SAT without a padded-model witness) and
-      handed to the tableau;
-    * ``subsumption_tests`` — tableau-backed subsumption questions asked
-      (cache hits included; compare with ``tableau_runs`` to see sharing);
-    * ``told_subsumptions`` — subsumption questions answered from told
-      (asserted) information during classification, no tableau involved;
+      handed to the kept models and the tableau;
+    * ``model_witnesses`` — satisfiability probes answered SAT by a kept
+      verified model (no tableau run);
+    * ``models_extracted`` — verified models read off SAT tableau runs
+      and kept;
+    * ``models_survived`` — kept models that outlived a KB mutation (a
+      removal keeps every model, an addition those that satisfy it);
+    * ``subsumption_tests`` — subsumption questions asked (cache hits
+      included; compare with ``tableau_runs`` to see sharing);
     * ``trail_length`` — undo entries recorded by trail-based search
       (the in-place mutations that replace whole-graph copies);
     * ``backjumps`` — clashes whose dependency set let the search jump
@@ -82,8 +86,10 @@ class ReasonerStats:
     cache_conflicts: int = 0
     saturation_queries: int = 0
     saturation_fallbacks: int = 0
+    model_witnesses: int = 0
+    models_extracted: int = 0
+    models_survived: int = 0
     subsumption_tests: int = 0
-    told_subsumptions: int = 0
     trail_length: int = 0
     backjumps: int = 0
     branch_points_skipped: int = 0
@@ -148,7 +154,6 @@ class ReasonerStats:
             f" / {self.cache_misses} misses"
             f" ({self.cache_hit_rate:.0%})"
             f" | subsumption tests: {self.subsumption_tests}"
-            f" (told: {self.told_subsumptions})"
         )
         groups = (
             (
@@ -156,6 +161,15 @@ class ReasonerStats:
                 self.saturation_queries or self.saturation_fallbacks,
                 f"saturation: {self.saturation_queries} answered"
                 f" / {self.saturation_fallbacks} fallbacks",
+            ),
+            (
+                "models",
+                self.model_witnesses
+                or self.models_extracted
+                or self.models_survived,
+                f"models: {self.model_witnesses} witnesses"
+                f" / {self.models_extracted} extracted"
+                f" ({self.models_survived} survived edits)",
             ),
             (
                 "trail",

@@ -60,6 +60,7 @@ from .concepts import (
     QualifiedAtLeast,
     QualifiedAtMost,
     Top,
+    nominals,
 )
 from .budget import BudgetMeter
 from .datatypes import DataRange, DataTop, find_witnesses
@@ -709,6 +710,9 @@ class Tableau:
         for axiom in extra:
             if isinstance(axiom, ConceptAssertion):
                 individuals.add(axiom.individual)
+                # A probe may name an individual only inside a nominal
+                # (``a : all R.not {b}``); it still denotes an element.
+                individuals |= nominals(axiom.concept)
             elif isinstance(axiom, (RoleAssertion, NegativeRoleAssertion)):
                 individuals |= {axiom.source, axiom.target}
             elif isinstance(axiom, (SameIndividual, DifferentIndividuals)):

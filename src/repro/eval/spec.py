@@ -153,18 +153,9 @@ def _classification_probes(settings: EvalSettings) -> List[Probe]:
             counters={"axioms": len(kb4), "induced_axioms": len(result)}
         )
 
-    def traversal_probe(seed: int) -> ProbeResult:
+    def model_driven_probe(seed: int) -> ProbeResult:
         reasoner = Reasoner(induced)
         hierarchy = reasoner.classify()
-        return ProbeResult(
-            status="ok" if len(hierarchy) else "fail",
-            counters=reasoner.stats.as_dict(),
-            extra={"concepts": len(hierarchy)},
-        )
-
-    def pairwise_probe(seed: int) -> ProbeResult:
-        reasoner = Reasoner(induced, use_cache=False)
-        hierarchy = reasoner.classify_pairwise()
         return ProbeResult(
             status="ok" if len(hierarchy) else "fail",
             counters=reasoner.stats.as_dict(),
@@ -253,8 +244,9 @@ def _classification_probes(settings: EvalSettings) -> List[Probe]:
     return [
         Probe("parse", "parse", parse_probe, repeats=3),
         Probe("transform", "transform", transform_probe, repeats=3),
-        Probe("classify_traversal", "classify", traversal_probe, repeats=3),
-        Probe("classify_pairwise", "classify", pairwise_probe),
+        Probe(
+            "classify_model_driven", "classify", model_driven_probe, repeats=3
+        ),
         Probe("classify4_internal", "classify", classify4_probe),
         Probe("query_battery_cached", "query", query_battery_probe, repeats=3),
         Probe("edit_workload", "incremental", edit_workload_probe, repeats=3),

@@ -8,88 +8,61 @@ the Definition 8/9 interpretation correspondences
 reasoner (:mod:`~repro.four_dl.reasoner4`).
 """
 
-from .axioms4 import (
-    Axiom4,
-    ConceptInclusion4,
-    DatatypeRoleInclusion4,
-    InclusionKind,
-    KnowledgeBase4,
-    RoleInclusion4,
-    Transitivity4,
-    collapse_to_classical,
-    from_classical,
-    internal,
-    material,
-    strong,
-)
-from .transform import (
-    EQ_SUFFIX,
-    NEGATIVE_SUFFIX,
-    POSITIVE_SUFFIX,
-    base_name,
-    eq_data_role,
-    eq_role,
-    neg_transform,
-    negative_concept,
-    pos_transform,
-    positive_concept,
-    positive_data_role,
-    positive_role,
-    transform_axiom,
-    cached_transform_kb,
-    transform_kb,
-)
-from .induced import classical_induced, four_induced
-from .reasoner4 import BoundedFourValue, Reasoner4
-from .defeasible import (
-    AdjudicatedFact,
-    DefeasibleReasoner4,
-    default_stratification4,
-)
-from .metrics import (
-    ConflictProfile,
-    conflict_profile,
-    inconsistency_degree,
-    information_degree,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Axiom4",
-    "ConceptInclusion4",
-    "DatatypeRoleInclusion4",
-    "InclusionKind",
-    "KnowledgeBase4",
-    "RoleInclusion4",
-    "Transitivity4",
-    "collapse_to_classical",
-    "from_classical",
-    "internal",
-    "material",
-    "strong",
-    "EQ_SUFFIX",
-    "NEGATIVE_SUFFIX",
-    "POSITIVE_SUFFIX",
-    "base_name",
-    "eq_data_role",
-    "eq_role",
-    "neg_transform",
-    "negative_concept",
-    "pos_transform",
-    "positive_concept",
-    "positive_data_role",
-    "positive_role",
-    "transform_axiom",
-    "transform_kb",
-    "cached_transform_kb",
-    "classical_induced",
-    "four_induced",
-    "BoundedFourValue",
-    "Reasoner4",
-    "AdjudicatedFact",
-    "DefeasibleReasoner4",
-    "default_stratification4",
-    "ConflictProfile",
-    "conflict_profile",
-    "inconsistency_degree",
-    "information_degree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".axioms4": (
+            "Axiom4",
+            "ConceptInclusion4",
+            "DatatypeRoleInclusion4",
+            "InclusionKind",
+            "KnowledgeBase4",
+            "RoleInclusion4",
+            "Transitivity4",
+            "collapse_to_classical",
+            "from_classical",
+            "internal",
+            "material",
+            "strong",
+        ),
+        ".transform": (
+            "EQ_SUFFIX",
+            "NEGATIVE_SUFFIX",
+            "POSITIVE_SUFFIX",
+            "base_name",
+            "eq_data_role",
+            "eq_role",
+            "neg_transform",
+            "negative_concept",
+            "pos_transform",
+            "positive_concept",
+            "positive_data_role",
+            "positive_role",
+            "transform_axiom",
+            "cached_transform_kb",
+            "transform_kb",
+        ),
+        ".induced": (
+            "classical_induced",
+            "four_induced",
+        ),
+        ".reasoner4": (
+            "BoundedFourValue",
+            "Reasoner4",
+        ),
+        ".defeasible": (
+            "AdjudicatedFact",
+            "DefeasibleReasoner4",
+            "default_stratification4",
+        ),
+        ".metrics": (
+            "ConflictProfile",
+            "conflict_profile",
+            "inconsistency_degree",
+            "information_degree",
+        ),
+    },
+)

@@ -7,70 +7,49 @@ implications that the SHOIN(D)4 inclusion axioms mirror, evidence pairs
 four-valued logic with an exact consequence checker.
 """
 
-from .truth import (
-    ALL_VALUES,
-    DESIGNATED,
-    FourValue,
-    big_conj,
-    big_disj,
-    from_classical,
-    from_evidence,
-)
-from .bilattice import BilatticePair, bottom, top
-from .reduction import (
-    dpll,
-    entails_by_reduction,
-    neg_encode,
-    pos_encode,
-    satisfiable_by_reduction,
-    tautology_by_reduction,
-    to_cnf,
-)
-from .propositional import (
-    And,
-    Atom,
-    Formula,
-    InternalImplies,
-    MaterialImplies,
-    Not,
-    Or,
-    StrongImplies,
-    entails,
-    equivalent,
-    multi_entails,
-    tautology,
-    valuations,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_VALUES",
-    "DESIGNATED",
-    "FourValue",
-    "big_conj",
-    "big_disj",
-    "from_classical",
-    "from_evidence",
-    "BilatticePair",
-    "bottom",
-    "top",
-    "And",
-    "Atom",
-    "Formula",
-    "InternalImplies",
-    "MaterialImplies",
-    "Not",
-    "Or",
-    "StrongImplies",
-    "entails",
-    "equivalent",
-    "multi_entails",
-    "tautology",
-    "valuations",
-    "dpll",
-    "entails_by_reduction",
-    "neg_encode",
-    "pos_encode",
-    "satisfiable_by_reduction",
-    "tautology_by_reduction",
-    "to_cnf",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".truth": (
+            "ALL_VALUES",
+            "DESIGNATED",
+            "FourValue",
+            "big_conj",
+            "big_disj",
+            "from_classical",
+            "from_evidence",
+        ),
+        ".bilattice": (
+            "BilatticePair",
+            "bottom",
+            "top",
+        ),
+        ".reduction": (
+            "dpll",
+            "entails_by_reduction",
+            "neg_encode",
+            "pos_encode",
+            "satisfiable_by_reduction",
+            "tautology_by_reduction",
+            "to_cnf",
+        ),
+        ".propositional": (
+            "And",
+            "Atom",
+            "Formula",
+            "InternalImplies",
+            "MaterialImplies",
+            "Not",
+            "Or",
+            "StrongImplies",
+            "entails",
+            "equivalent",
+            "multi_entails",
+            "tautology",
+            "valuations",
+        ),
+    },
+)

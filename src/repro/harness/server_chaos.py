@@ -14,7 +14,10 @@ deployment actually sees:
   than hang;
 * ``malformed`` — a battery of broken payloads (invalid JSON, wrong
   types, unknown kinds, missing required fields, bad schema versions)
-  must each earn a 400-style usage error and leave the server ready;
+  must each earn a 400-style usage error and leave the server ready,
+  and hostile ``Content-Length`` headers (negative, or past the body
+  cap) must be answered 400 / 413 within two seconds on a keep-alive
+  socket, never holding a handler thread;
 * ``disconnect`` — a client that sends a probe and slams the
   connection must not wedge a handler thread or leak an admission slot;
 * ``queue_saturation`` — a burst beyond the admission bound must be
@@ -42,6 +45,7 @@ Typical use::
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -53,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dl.parser import parse_kb4
 from ..serve.protocol import ProbeRequest, ProbeResponse
-from ..serve.server import ReproServer
+from ..serve.server import MAX_BODY_BYTES, ReproServer
 
 __all__ = [
     "SERVER_FAULT_KINDS",
@@ -85,6 +89,14 @@ MALFORMED_BODIES: Tuple[str, ...] = (
     '{"kind": "satisfiable", "kb": "university", "schema": 999}',
     '{"kind": "subsumption", "kb": "university", "sub": "A", "sup": "B",'
     ' "inclusion": "sideways"}',
+)
+
+#: Hostile ``Content-Length`` headers for the ``malformed`` fault, each
+#: with the status it must earn: ``-1`` would read to an EOF a
+#: keep-alive client never sends; past the cap the body goes unread.
+HOSTILE_LENGTHS: Tuple[Tuple[str, int], ...] = (
+    ("-1", 400),
+    (str(MAX_BODY_BYTES + 1), 413),
 )
 
 
@@ -362,7 +374,32 @@ def _inject_malformed(
                 f"malformed payload {payload!r} answered "
                 f"{status}/{response.status}, expected 400/error"
             )
-    result.notes.append(f"{len(MALFORMED_BODIES)} malformed payloads shed")
+    for length, expected in HOSTILE_LENGTHS:
+        head = (
+            "POST /probe HTTP/1.1\r\nHost: chaos\r\n"
+            "Connection: keep-alive\r\n"
+            f"Content-Length: {length}\r\n\r\n{{\"kind\":"
+        ).encode("ascii")
+        try:
+            with socket.create_connection(server.address, timeout=2.0) as raw:
+                raw.sendall(head)
+                answer = http.client.HTTPResponse(raw)
+                answer.begin()
+                status = answer.status
+        except (OSError, http.client.HTTPException) as exc:
+            result.mismatches.append(
+                f"Content-Length {length} earned no status within 2s: {exc!r}"
+            )
+            continue
+        if status != expected:
+            result.mismatches.append(
+                f"Content-Length {length} answered {status}, "
+                f"expected {expected}"
+            )
+    result.notes.append(
+        f"{len(MALFORMED_BODIES)} malformed payloads and "
+        f"{len(HOSTILE_LENGTHS)} hostile lengths shed"
+    )
 
 
 def _inject_disconnect(

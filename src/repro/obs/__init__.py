@@ -26,79 +26,55 @@ Typical use::
 See ``docs/OBSERVABILITY.md`` for the span and metric name schema.
 """
 
-from .bench import (
-    BENCH_OUT_ENV,
-    BenchRecord,
-    maybe_write_bench_record,
-    write_bench_record,
-)
-from .export import (
-    PHASE_SPANS,
-    SPAN_SCHEMA_VERSION,
-    folded_stacks,
-    phase_breakdown,
-    phase_durations,
-    read_spans_jsonl,
-    render_prometheus,
-    render_span_tree,
-    spans_from_records,
-    spans_to_jsonl,
-    spans_to_records,
-    validate_span_record,
-    write_spans_jsonl,
-)
-from .metrics import Gauge, Histogram, MetricsRegistry, percentile
-from .spans import (
-    Span,
-    SpanEvent,
-    Tracer,
-    active_tracer,
-    add_event,
-    set_gauge,
-    span,
-    tracing,
-)
-from .trace import (
-    fit_within,
-    graft_spans,
-    new_trace_id,
-    rebase_spans,
-    sanitize_trace_id,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_OUT_ENV",
-    "BenchRecord",
-    "maybe_write_bench_record",
-    "write_bench_record",
-    "PHASE_SPANS",
-    "SPAN_SCHEMA_VERSION",
-    "folded_stacks",
-    "phase_breakdown",
-    "phase_durations",
-    "read_spans_jsonl",
-    "render_prometheus",
-    "render_span_tree",
-    "spans_from_records",
-    "spans_to_jsonl",
-    "spans_to_records",
-    "validate_span_record",
-    "write_spans_jsonl",
-    "fit_within",
-    "graft_spans",
-    "new_trace_id",
-    "rebase_spans",
-    "sanitize_trace_id",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "percentile",
-    "Span",
-    "SpanEvent",
-    "Tracer",
-    "active_tracer",
-    "add_event",
-    "set_gauge",
-    "span",
-    "tracing",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".bench": (
+            "BENCH_OUT_ENV",
+            "BenchRecord",
+            "maybe_write_bench_record",
+            "write_bench_record",
+        ),
+        ".export": (
+            "PHASE_SPANS",
+            "SPAN_SCHEMA_VERSION",
+            "folded_stacks",
+            "phase_breakdown",
+            "phase_durations",
+            "read_spans_jsonl",
+            "render_prometheus",
+            "render_span_tree",
+            "spans_from_records",
+            "spans_to_jsonl",
+            "spans_to_records",
+            "validate_span_record",
+            "write_spans_jsonl",
+        ),
+        ".metrics": (
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "percentile",
+        ),
+        ".spans": (
+            "Span",
+            "SpanEvent",
+            "Tracer",
+            "active_tracer",
+            "add_event",
+            "set_gauge",
+            "span",
+            "tracing",
+        ),
+        ".trace": (
+            "fit_within",
+            "graft_spans",
+            "new_trace_id",
+            "rebase_spans",
+            "sanitize_trace_id",
+        ),
+    },
+)

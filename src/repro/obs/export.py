@@ -81,6 +81,7 @@ PHASE_SPANS = frozenset(
         "incremental_update",
         "cache_probe",
         "saturation_run",
+        "model_check",
         "tableau_run",
         "justify",
         "shrink_probe",

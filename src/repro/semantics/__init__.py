@@ -5,24 +5,24 @@ tables over finite structures, plus brute-force model enumeration used to
 cross-validate the tableau and to regenerate Table 4.
 """
 
-from .interpretation import Interpretation
-from .four_interpretation import DataRolePair, FourInterpretation, RolePair
-from .enumeration import (
-    classical_satisfiable_by_enumeration,
-    enumerate_classical_models,
-    enumerate_four_models,
-    four_satisfiable_by_enumeration,
-    truth_patterns,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Interpretation",
-    "DataRolePair",
-    "FourInterpretation",
-    "RolePair",
-    "classical_satisfiable_by_enumeration",
-    "enumerate_classical_models",
-    "enumerate_four_models",
-    "four_satisfiable_by_enumeration",
-    "truth_patterns",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".interpretation": ("Interpretation",),
+        ".four_interpretation": (
+            "DataRolePair",
+            "FourInterpretation",
+            "RolePair",
+        ),
+        ".enumeration": (
+            "classical_satisfiable_by_enumeration",
+            "enumerate_classical_models",
+            "enumerate_four_models",
+            "four_satisfiable_by_enumeration",
+            "truth_patterns",
+        ),
+    },
+)

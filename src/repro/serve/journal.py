@@ -53,11 +53,12 @@ def derive_execution(
     (``None`` when no cache probe ran — e.g. tracing disabled or the
     request never reached a reasoner).  ``engine`` is which machinery
     decided the answer: ``"tableau"`` when a tableau ran (it is always
-    the engine of last resort), else ``"saturation"``, else
-    ``"cache"`` for a pure cache hit.
+    the engine of last resort), else ``"model"`` when a kept verified
+    model witnessed a probe, else ``"saturation"``, else ``"cache"``
+    for a pure cache hit.
     """
     cache_hit: Optional[bool] = None
-    saw_saturation = saw_tableau = False
+    saw_saturation = saw_model = saw_tableau = False
     for root in roots:
         for span in root.walk():
             if span.name == "cache_probe" and cache_hit is None:
@@ -66,10 +67,15 @@ def derive_execution(
                     cache_hit = hit
             elif span.name == "saturation_run":
                 saw_saturation = True
+            elif span.name == "model_check":
+                if span.attributes.get("witnessed") is True:
+                    saw_model = True
             elif span.name == "tableau_run":
                 saw_tableau = True
     if saw_tableau:
         return cache_hit, "tableau"
+    if saw_model:
+        return cache_hit, "model"
     if saw_saturation:
         return cache_hit, "saturation"
     if cache_hit:

@@ -85,6 +85,8 @@ class KBRegistry:
         self._paths = dict(kb_paths)
         self._lock = threading.Lock()
         self._loaded: Dict[str, Tuple[Reasoner4, threading.Lock]] = {}
+        # Per KB: (KB4 version, concept parser built for that version).
+        self._parsers: Dict[str, Tuple[int, ConceptParser]] = {}
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -111,12 +113,20 @@ class KBRegistry:
         with self._lock:
             return self._loaded.setdefault(name, entry)
 
+    def concept_parser(self, name: str) -> ConceptParser:
+        """The concept parser of one loaded KB, for its current version.
 
-def _parse_concept(reasoner: Reasoner4, text: str):
-    parser = ConceptParser(
-        role.name for role in reasoner.kb4.datatype_roles_in_signature()
-    )
-    return parser.parse(text)
+        The parser needs the KB's datatype roles, a scan of the whole
+        KB, so it is built once per KB version instead of per request.
+        Call it under the KB's execution lock.
+        """
+        kb4 = self.reasoner(name)[0].kb4
+        cached = self._parsers.get(name)
+        if cached is None or cached[0] != kb4.version:
+            roles = kb4.datatype_roles_in_signature()
+            cached = (kb4.version, ConceptParser(role.name for role in roles))
+            self._parsers[name] = cached
+        return cached[1]
 
 
 def request_budget(
@@ -187,7 +197,8 @@ def execute_probe(
             )
         try:
             with lock:
-                response = _dispatch(reasoner, request, budget)
+                parser = registry.concept_parser(request.kb)
+                response = _dispatch(reasoner, parser, request, budget)
         except ReproError as exc:
             response = ProbeResponse.error(f"{type(exc).__name__}: {exc}")
         span.set("status", response.status)
@@ -195,28 +206,31 @@ def execute_probe(
 
 
 def _dispatch(
-    reasoner: Reasoner4, request: ProbeRequest, budget: Optional[Budget]
+    reasoner: Reasoner4,
+    parser: ConceptParser,
+    request: ProbeRequest,
+    budget: Optional[Budget],
 ) -> ProbeResponse:
     if request.kind == "satisfiable":
         return ProbeResponse.from_verdict(
             request, reasoner.is_satisfiable_verdict(budget=budget)
         )
     if request.kind == "instance":
-        concept = _parse_concept(reasoner, request.concept)
+        concept = parser.parse(request.concept)
         verdict = reasoner.evidence_for_verdict(
             Individual(request.individual), concept, budget=budget
         )
         return ProbeResponse.from_verdict(request, verdict)
     if request.kind == "subsumption":
-        sub = _parse_concept(reasoner, request.sub)
-        sup = _parse_concept(reasoner, request.sup)
+        sub = parser.parse(request.sub)
+        sup = parser.parse(request.sup)
         inclusion = ConceptInclusion4(
             sub, sup, InclusionKind[request.inclusion.upper()]
         )
         verdict = reasoner.entails_verdict(inclusion, budget=budget)
         return ProbeResponse.from_verdict(request, verdict)
     if request.kind == "assertion_value":
-        concept = _parse_concept(reasoner, request.concept)
+        concept = parser.parse(request.concept)
         bounded = reasoner.assertion_value_bounded(
             Individual(request.individual), concept, budget=budget
         )

@@ -64,6 +64,15 @@ _SERVER_SIDE_REASONS = frozenset(
 )
 
 
+#: The largest probe body the server reads, in bytes.  A longer declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a handler thread waits on a silent client socket (say, a body
+#: shorter than its ``Content-Length``) before it drops the connection.
+SOCKET_TIMEOUT_S = 10.0
+
+
 def _format_value(value: float) -> str:
     if value == math.inf:
         return "+Inf"
@@ -621,6 +630,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    timeout = SOCKET_TIMEOUT_S
 
     @property
     def app(self) -> ReproServer:
@@ -731,8 +741,36 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError as exc:
+            length, problem = -1, f"unreadable Content-Length: {exc}"
+        else:
+            problem = f"negative Content-Length {length}"
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                status = 413
+                problem = (
+                    f"Content-Length {length} exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+            else:
+                status = 400
+            self._send(status, ProbeResponse.error(problem).to_json())
+            return
+        try:
             body = self.rfile.read(length).decode("utf-8")
-        except (ValueError, UnicodeDecodeError, ConnectionError) as exc:
+        except TimeoutError:
+            self.close_connection = True
+            self._send(
+                408,
+                ProbeResponse.error(
+                    f"body shorter than its Content-Length {length}"
+                ).to_json(),
+            )
+            return
+        except (UnicodeDecodeError, ConnectionError) as exc:
             self._send(
                 400, ProbeResponse.error(f"unreadable body: {exc}").to_json()
             )

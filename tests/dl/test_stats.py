@@ -36,7 +36,7 @@ class TestReasonerStats:
         assert "subsumption tests" in line
 
     def test_as_dict_round_trips(self):
-        stats = ReasonerStats(tableau_runs=1, told_subsumptions=6)
+        stats = ReasonerStats(tableau_runs=1, model_witnesses=6)
         assert ReasonerStats(**stats.as_dict()) == stats
 
 

@@ -27,7 +27,11 @@ seeded random KBs we cross-check them pairwise:
   over scaling-corpus KB4s, where a long-lived reasoner using
   fine-grained invalidation must answer byte-identically to a reasoner
   built from scratch after every single mutation, while its survival
-  counters prove entries actually outlived the edits.
+  counters prove entries actually outlived the edits;
+* **kept models vs cold tableau** — every SAT answer a kept verified
+  model gives, over the four scaling profiles and along edit sequences,
+  is re-asked of a cold tableau-only reasoner, and after every edit each
+  kept model must still be a model of the KB.
 
 The seeds are fixed ranges, not hypothesis draws, so a failure names the
 exact KB: rebuild it with ``generate_kb(GeneratorConfig(seed=...))``.
@@ -71,6 +75,7 @@ from repro.workloads import (
     generate_kb4,
     generate_scaling_kb4,
 )
+from tests.oracles import classify_pairwise
 
 SMALL = dict(
     n_concepts=3, n_roles=1, n_individuals=2, n_tbox=3, n_abox=4, max_depth=1
@@ -137,7 +142,9 @@ class TestCachedVsCold:
         kb = generate_kb(GeneratorConfig(seed=seed, **SMALL))
         cached = Reasoner(kb).classify()
         cold = Reasoner(kb, use_cache=False).classify()
-        pairwise = Reasoner(kb, use_cache=False).classify_pairwise()
+        pairwise = classify_pairwise(
+            Reasoner(kb, use_cache=False, engine="tableau")
+        )
         assert cached == cold == pairwise
 
 
@@ -273,11 +280,16 @@ def _classical_oracle_counts(seed):
 
 @functools.lru_cache(maxsize=None)
 def _four_valued_oracle_counts(seed):
-    """Every tableau run ``Reasoner4.assertion_value`` makes, recorded."""
+    """Every tableau run ``Reasoner4.assertion_value`` makes, recorded.
+
+    Pinned to ``engine="tableau"`` so that every probe reaches the
+    tableau: under ``"auto"`` saturation and the kept models answer
+    most of them (the model-witness family below checks those).
+    """
     kb4 = generate_kb4(GeneratorConfig(seed=seed, **SMALL))
     atoms = sorted(kb4.concepts_in_signature(), key=lambda a: a.name)
     individuals = sorted(kb4.individuals_in_signature(), key=lambda i: i.name)
-    reasoner = Reasoner4(kb4, use_cache=False)
+    reasoner = Reasoner4(kb4, use_cache=False, engine="tableau")
     tableau = reasoner.classical_reasoner._tableau
     run = tableau.is_satisfiable
     runs = []
@@ -324,7 +336,7 @@ class TestTableauVsVerifiedModels:
 
         # [SAT answers, witnessed SAT answers, UNSAT answers confirmed]
         assert totals(_classical_oracle_counts, range(40)) == [160, 149, 102]
-        assert totals(_four_valued_oracle_counts, range(20)) == [153, 137, 5]
+        assert totals(_four_valued_oracle_counts, range(20)) == [178, 162, 56]
 
 
 def tractable_kb(seed):
@@ -528,6 +540,138 @@ class TestEditSequenceFuzz:
         check_parity(f"re-add {victim!r}")
 
 
+def _checked_witnesses(reasoner):
+    """Check each SAT answer a kept model gives, when it is given.
+
+    Wraps ``reasoner._model_witness`` so that every witnessed probe set
+    is re-asked of a cold ``engine="tableau"`` reasoner over a copy of
+    the KB as it stands at that moment.  Returns the list the wrapper
+    fills with ``(probes, cold answer)`` pairs.
+    """
+    checked = []
+    witness = reasoner._model_witness
+
+    def recording(probes):
+        answer = witness(probes)
+        if answer:
+            cold = Reasoner(
+                KnowledgeBase.of(reasoner.kb.axioms()),
+                use_cache=False,
+                engine="tableau",
+            )
+            checked.append((tuple(probes), cold._satisfiable_with(probes)))
+        return answer
+
+    reasoner._model_witness = recording
+    return checked
+
+
+def _kept_models_are_models(reasoner):
+    """Whether every kept model is a model of the reasoner's KB now."""
+    reasoner._sync()
+    return all(model.is_model(reasoner.kb) for _, model in reasoner._models)
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_witnesses(profile, seed):
+    """Model answers over one scaling-corpus KB4: values, taxonomy and
+    the three inclusion kinds."""
+    kb4 = generate_scaling_kb4(
+        ScalingConfig(n_axioms=12, profile=profile, seed=seed)
+    )
+    reasoner = Reasoner4(kb4)
+    checked = _checked_witnesses(reasoner.classical_reasoner)
+    atoms = sorted(kb4.concepts_in_signature(), key=lambda a: a.name)[:4]
+    individuals = sorted(
+        kb4.individuals_in_signature(), key=lambda i: i.name
+    )[:3]
+    _four_battery(reasoner, atoms, individuals)
+    reasoner.classify()
+    for kind in InclusionKind:
+        for sub in atoms:
+            for sup in atoms:
+                reasoner.entails(ConceptInclusion4(sub, sup, kind))
+    return checked
+
+
+@functools.lru_cache(maxsize=None)
+def _edit_witnesses(profile, seed):
+    """Model answers along an add / add / remove / re-add edit sequence;
+    after every step each kept model must still be a model of the KB."""
+    kb4 = generate_scaling_kb4(
+        ScalingConfig(n_axioms=10, profile=profile, seed=seed)
+    )
+    rng = random.Random(f"model-fuzz:{profile.value}:{seed}")
+    atoms = sorted(kb4.concepts_in_signature(), key=lambda a: a.name)[:3]
+    individuals = sorted(
+        kb4.individuals_in_signature(), key=lambda i: i.name
+    )[:2] + [Individual("fuzz_new")]
+    reasoner = Reasoner4(kb4)
+    classical = reasoner.classical_reasoner
+    checked = _checked_witnesses(classical)
+    _four_battery(reasoner, atoms, individuals)
+    victim = rng.choice(sorted(kb4.axioms(), key=repr))
+    newcomer = ConceptAssertion(Individual("fuzz_new"), rng.choice(atoms))
+    denial = ConceptAssertion(individuals[0], Not(rng.choice(atoms)))
+    edits = [
+        (kb4.add_axiom, newcomer),
+        (kb4.add_axiom, denial),
+        (kb4.remove_axiom, victim),
+        (kb4.add_axiom, victim),
+    ]
+    broken = []
+    for edit, axiom in edits:
+        edit(axiom)
+        if not _kept_models_are_models(classical):
+            broken.append(axiom)
+        _four_battery(reasoner, atoms, individuals)
+    assert reasoner.classical_reasoner is classical  # no wholesale rebuild
+    return checked, broken
+
+
+class TestModelWitnesses:
+    """Every SAT answer a kept model gives agrees with a cold tableau.
+
+    The model path answers a probe SAT without running the tableau when
+    a verified model kept from an earlier SAT run satisfies it.  Each
+    such answer is re-asked, at the moment it is given, of a cold
+    ``engine="tableau"`` reasoner over the KB as it then stands: across
+    the four scaling profiles, and along seeded edit sequences where
+    additions must drop the models they falsify and removals keep them.
+
+    4 profiles x 8 seeds x 2 families = 64 seeded cases.
+    """
+
+    @pytest.mark.parametrize("profile", list(ScalingProfile))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scaling_profile_witnesses_hold_up(self, profile, seed):
+        checked = _profile_witnesses(profile, seed)
+        wrong = [probes for probes, cold in checked if not cold]
+        assert wrong == [], f"profile={profile.value} seed={seed}"
+
+    @pytest.mark.parametrize("profile", list(ScalingProfile))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edit_sequence_witnesses_hold_up(self, profile, seed):
+        checked, broken = _edit_witnesses(profile, seed)
+        wrong = [probes for probes, cold in checked if not cold]
+        assert wrong == [], f"profile={profile.value} seed={seed}"
+        assert broken == [], f"profile={profile.value} seed={seed}"
+
+    def test_model_answer_totals_are_pinned(self):
+        profiles = list(ScalingProfile)
+        scaling = [
+            len(_profile_witnesses(profile, seed))
+            for profile in profiles
+            for seed in range(8)
+        ]
+        edits = [
+            len(_edit_witnesses(profile, seed)[0])
+            for profile in profiles
+            for seed in range(8)
+        ]
+        assert (sum(scaling), sum(edits)) == (89, 95)
+
+
 class TestMutationUnderFuzz:
     """Invalidation fuzz: answers after a mutation match a fresh reasoner."""
 
@@ -552,4 +696,5 @@ def test_fuzz_coverage_floor():
     edit_sequences = 4 * 26  # incremental edit-sequence fuzz
     assert edit_sequences >= 100
     cases += edit_sequences
+    cases += 4 * 8 * 2  # model-witness family
     assert cases >= 200

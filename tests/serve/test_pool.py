@@ -61,6 +61,58 @@ class TestKBRegistry:
             registry.reasoner("missing")
 
 
+class TestConceptParserPerVersion:
+    """The concept parser reads the KB's datatype roles, a scan of the
+    whole KB, once per KB version rather than once per request."""
+
+    REQUESTS = (
+        ProbeRequest(kind="instance", kb="university",
+                     individual="ada", concept="Person"),
+        ProbeRequest(kind="subsumption", kb="university",
+                     sub="Professor", sup="Staff", inclusion="internal"),
+        ProbeRequest(kind="assertion_value", kb="university",
+                     individual="grace", concept="Doctorate"),
+        ProbeRequest(kind="satisfiable", kb="university"),
+        ProbeRequest(kind="subsumption", kb="university",
+                     sub="Student", sup="not Staff", inclusion="material"),
+    )
+
+    def test_fifty_requests_scan_once_and_an_edit_once_more(
+        self, monkeypatch
+    ):
+        from repro.dl import ConceptAssertion
+        from repro.dl.concepts import AtomicConcept
+        from repro.dl.individuals import Individual
+        from repro.four_dl.axioms4 import KnowledgeBase4
+
+        registry = KBRegistry({"university": UNIVERSITY})
+        kb4 = registry.reasoner("university")[0].kb4
+        scans = []
+        scan = KnowledgeBase4.datatype_roles_in_signature
+
+        def counted(self):
+            scans.append(self.version)
+            return scan(self)
+
+        monkeypatch.setattr(
+            KnowledgeBase4, "datatype_roles_in_signature", counted
+        )
+
+        def ask_fifty():
+            for index in range(50):
+                request = self.REQUESTS[index % len(self.REQUESTS)]
+                assert execute_probe(registry, request).status == "ok"
+
+        ask_fifty()
+        assert len(scans) == 1
+        kb4.add_axiom(
+            ConceptAssertion(Individual("newcomer"), AtomicConcept("Person"))
+        )
+        ask_fifty()
+        assert len(scans) == 2
+        assert scans[1] == kb4.version
+
+
 class TestRequestBudget:
     REQUEST = ProbeRequest(kind="satisfiable", kb="uni", max_nodes=50)
 

@@ -1,7 +1,9 @@
 """HTTP service tests: admission control, degradation mapping, drain."""
 
+import http.client
 import json
 import os
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,7 +13,7 @@ import pytest
 from repro.dl.budget import Verdict
 from repro.dl.errors import DegradationReason
 from repro.serve.protocol import ProbeRequest, ProbeResponse
-from repro.serve.server import ReproServer, ServeMetrics
+from repro.serve.server import MAX_BODY_BYTES, ReproServer, ServeMetrics
 
 ONTOLOGY_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "ontologies"
@@ -154,6 +156,62 @@ class TestProbeEndpoint:
         verdict = response.verdict
         assert verdict.is_unknown()
         assert verdict.reason is DegradationReason.DEADLINE
+
+
+def raw_status(server, head, timeout=2.0):
+    """Send a hand-made request on a raw socket; ``(status, body)``.
+
+    Raises ``socket.timeout`` when no status arrives within ``timeout``
+    seconds (the hostile-header cases must never hold a handler).
+    """
+    with socket.create_connection(server.address, timeout=timeout) as raw:
+        raw.sendall(head)
+        response = http.client.HTTPResponse(raw)
+        response.begin()
+        return response.status, response.read().decode("utf-8")
+
+
+class TestHostileContentLength:
+    """A keep-alive client that never sends EOF, or declares a body far
+    larger than it sends, must get a status at once, not hold a thread."""
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), (str(MAX_BODY_BYTES + 1), 413), ("10" * 20, 413)],
+    )
+    def test_answered_within_two_seconds(self, server, length, status):
+        head = (
+            "POST /probe HTTP/1.1\r\nHost: test\r\n"
+            "Connection: keep-alive\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+            '{"kind": "satisfiable"'
+        ).encode("ascii")
+        answered, body = raw_status(server, head)
+        assert answered == status
+        assert ProbeResponse.from_json(body).status == "error"
+        # The server still serves afterwards.
+        assert get(server, "/readyz")[0] == 200
+
+    def test_a_body_shorter_than_its_length_times_out(self, monkeypatch):
+        """The handler's socket timeout frees the thread (shortened here
+        from ``SOCKET_TIMEOUT_S`` so the test stays fast)."""
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.3)
+        instance = ReproServer(
+            {"university": UNIVERSITY}, port=0, workers=0, max_queue=4
+        )
+        instance.start()
+        try:
+            head = (
+                b"POST /probe HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\n{\"kind\":"
+            )
+            answered, body = raw_status(instance, head)
+            assert answered == 408
+            assert ProbeResponse.from_json(body).status == "error"
+        finally:
+            instance.close()
 
 
 class TestAdmissionControl:

@@ -559,3 +559,36 @@ class TestJournalUnit:
             [named("saturation_run"), named("tableau_run")]
         )
         assert derive_execution([tableau]) == (None, "tableau")
+
+    def test_derive_execution_orders_tableau_model_saturation_cache(self):
+        """tableau > model > saturation > cache: the dearest engine that
+        decided any probe of the request names it."""
+        tracer = Tracer()
+
+        def request(*children):
+            root = Span(tracer, "serve_request")
+            for name, attrs in children:
+                child = Span(tracer, name)
+                child.attributes.update(attrs)
+                root.children.append(child)
+            return [root]
+
+        miss = ("cache_probe", {"hit": False})
+        saturation = ("saturation_run", {"answered": False})
+        witnessed = ("model_check", {"witnessed": True})
+        declined = ("model_check", {"witnessed": False})
+        tableau = ("tableau_run", {"satisfiable": True})
+        assert derive_execution(request(miss, saturation, witnessed)) == (
+            False,
+            "model",
+        )
+        assert derive_execution(
+            request(miss, saturation, declined, tableau)
+        ) == (False, "tableau")
+        assert derive_execution(
+            request(miss, saturation, witnessed, declined, tableau)
+        ) == (False, "tableau")
+        assert derive_execution(request(miss, saturation, declined)) == (
+            False,
+            "saturation",
+        )

@@ -115,3 +115,39 @@ class TestOtherSurfaces:
         assert parser.prog == "repro"
         with pytest.raises(SystemExit):
             parser.parse_args([])  # command is required
+
+
+class TestImportCost:
+    def test_reasoning_imports_leave_the_harnesses_unloaded(self):
+        """Loading the reasoner and the parser loads what reasoning needs:
+        the package inits resolve their re-exports on first access."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.four_dl.reasoner4, repro.dl.parser\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for heavy in (
+            "repro.eval",
+            "repro.harness",
+            "repro.serve",
+            "repro.semantics.enumeration",
+        ):
+            assert f"'{heavy}'" not in loaded, heavy
+
+    def test_every_export_still_resolves(self):
+        packages = (
+            repro, repro.four_dl, repro.obs, repro.semantics, repro.fourvalued
+        )
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name) is not None, (package, name)
+            assert set(package.__all__) <= set(dir(package))
